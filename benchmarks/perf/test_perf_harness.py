@@ -70,6 +70,41 @@ class TestRunner:
         )
         assert code == 1
 
+    def test_check_fails_on_event_count_drift(
+        self, tmp_path, stub_scenarios, monkeypatch
+    ):
+        # The obs re-timing of an instant stub is all noise: keep it
+        # out so only the event-count gate can fail the run.
+        monkeypatch.setattr(runner_mod, "_obs_check", lambda *a: [])
+        baseline = tmp_path / "baseline.json"
+        out = tmp_path / "BENCH.json"
+        _write_baseline(baseline, {"fast": {"wall_s": 1000.0, "events": 100}})
+        code = run_perf(
+            names=["fast"],
+            check=True,
+            output=str(out),
+            baseline_path=str(baseline),
+        )
+        assert code == 0
+        # Wall-clock well inside the gate, but the stub simulates 100
+        # events against a pinned 101: the behaviour changed.
+        _write_baseline(baseline, {"fast": {"wall_s": 1000.0, "events": 101}})
+        code = run_perf(
+            names=["fast"],
+            check=True,
+            output=str(out),
+            baseline_path=str(baseline),
+        )
+        assert code == 1
+        entry = json.loads(out.read_text())["scenarios"]["fast"]
+        assert entry["events_match_baseline"] is False
+        assert entry["regressed"] is False
+        # Without --check the drift is reported, not fatal.
+        code = run_perf(
+            names=["fast"], output=str(out), baseline_path=str(baseline)
+        )
+        assert code == 0
+
     def test_check_without_baseline_fails(self, tmp_path, stub_scenarios):
         baseline = tmp_path / "baseline.json"
         _write_baseline(baseline, {})

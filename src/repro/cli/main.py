@@ -656,7 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
             "the 2k-job service stream, a fair-share network stress), "
             "write BENCH_PR2.json at the repo root, and with --check "
             "fail if any scenario runs >20% slower than the baseline "
-            "committed in benchmarks/perf/baseline.json."
+            "committed in benchmarks/perf/baseline.json or simulates a "
+            "different number of events."
         ),
     )
     perf_p.add_argument(
@@ -668,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p.add_argument("--repeat", type=int, default=1,
                         help="timing repeats per scenario (fastest wins)")
     perf_p.add_argument("--check", action="store_true",
-                        help="exit 1 on >20%% regression vs the baseline")
+                        help="exit 1 on >20%% regression or event-count "
+                        "drift vs the baseline")
     perf_p.add_argument("--update-baseline", action="store_true",
                         help="re-pin benchmarks/perf/baseline.json")
     perf_p.add_argument("--output", default=None,

@@ -6,8 +6,10 @@ pre-optimization on the reference machine.  Every ``repro perf`` run
 re-times the requested scenarios, writes ``BENCH_PR2.json`` at the
 repo root and — under ``--check`` — fails when a scenario's wall-clock
 regresses more than :data:`REGRESSION_THRESHOLD_PCT` percent against
-the baseline.  ``--update-baseline`` re-pins the baseline file after a
-deliberate change (new machine, new scenario, accepted slowdown).
+the baseline, or when its simulated event count differs from the
+baseline's.  ``--update-baseline`` re-pins the baseline file after a
+deliberate change (new machine, new scenario, accepted slowdown,
+intended behaviour change).
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ def run_perf(
 
     results: Dict[str, dict] = {}
     regressions: List[str] = []
+    drifts: List[str] = []
     for name in names:
         print(f"[perf] {name}: {SCENARIOS[name].description}", file=out)
         entry = time_scenario(name, repeat=repeat)
@@ -123,21 +126,17 @@ def run_perf(
                     f"{name}: {entry['wall_s']:.2f}s vs baseline "
                     f"{base['wall_s']:.2f}s (+{slowdown_pct:.0f}%)"
                 )
-        if base and "events" in base and base["events"] != entry["events"]:
+        if base and "events" in base:
             # Wall-clock aside, the event count is a behaviour
             # checksum: a drift vs the baseline means the simulation
-            # itself changed (expected only when behaviour-changing
-            # work re-pins the baseline, e.g. this PR's determinism
-            # fixes).  Recorded + surfaced, but not a failure.
-            entry["events_match_baseline"] = False
-            print(
-                f"[perf] note: {name} simulated {entry['events']} events "
-                f"vs {base['events']} at baseline — behaviour changed "
-                "since the baseline was pinned",
-                file=out,
-            )
-        elif base and "events" in base:
-            entry["events_match_baseline"] = True
+            # itself changed.  ``--check`` fails on it; re-pin with
+            # ``--update-baseline`` after an intended behaviour change.
+            entry["events_match_baseline"] = base["events"] == entry["events"]
+            if not entry["events_match_baseline"]:
+                drifts.append(
+                    f"{name}: simulated {entry['events']} events vs "
+                    f"{base['events']} at baseline"
+                )
         results[name] = entry
         line = (
             f"[perf] {name}: {entry['wall_s']:.2f}s wall, "
@@ -194,7 +193,9 @@ def run_perf(
             fh.write("\n")
         print(f"[perf] baseline re-pinned at {base_path}", file=out)
 
-    if check and (regressions or obs_failures):
+    for r in drifts:
+        print(f"[perf] EVENT-COUNT DRIFT {r}", file=out)
+    if check and (regressions or drifts or obs_failures):
         for r in regressions:
             print(f"[perf] REGRESSION {r}", file=out)
         for r in obs_failures:

@@ -9,23 +9,51 @@ machines and across ``REPRO_FULL_SCALE`` settings.
 The work counters a scenario returns (simulated events, completed
 jobs) double as a behaviour checksum: the same code must report the
 same counts on every run.  The runner records a per-scenario
-``events_match_baseline`` flag (and prints a notice on drift) so a
-count change vs the committed baseline reads as "the simulation's
-behaviour changed", not just its speed — expected only when a
-behaviour-changing PR re-pins the baseline.
+``events_match_baseline`` flag, and ``--check`` fails on a count that
+differs from the committed baseline: the simulation's behaviour
+changed, not just its speed.  A behaviour-changing PR re-pins the
+baseline with ``--update-baseline``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..config import ClusterConfig, SchedulerConfig, SystemConfig, TraceConfig
+import numpy as np
+
+from ..config import (
+    ClusterConfig,
+    DetectorConfig,
+    DfsConfig,
+    JournalConfig,
+    SchedulerConfig,
+    SystemConfig,
+    TraceConfig,
+)
 from ..core import hadoop_system, moon_system
 from ..dfs import ReplicationFactor
 from ..experiments.harness import hadoop_policy, moon_policy
 from ..experiments.scale import Scale, sort_at
-from ..workloads import JobSpec
+from ..service import (
+    AutoscaleConfig,
+    MoonService,
+    PreemptConfig,
+    ServiceConfig,
+    WorkloadClass,
+    bursty_arrivals,
+    poisson_arrivals,
+    poisson_arrivals_vectorised,
+    sleep_catalog,
+)
+from ..workload_traces import (
+    SynthesisConfig,
+    sample_hadoop_trace,
+    synthesize,
+    trace_arrivals,
+)
+from ..workloads import JobSpec, sleep_spec
 
 #: The scale every scenario runs at (the benchmarks' reduced scale,
 #: pinned here so env overrides cannot skew baseline comparisons).
@@ -131,334 +159,187 @@ def _fig7_slice() -> Dict[str, float]:
     )
 
 
-def _service_2k() -> Dict[str, float]:
-    """2k-job service stream: Poisson arrivals on the sleep catalog.
+# ----------------------------------------------------------------------
+# 2k-job service streams: one row of data per scenario, one runner
+# ----------------------------------------------------------------------
+#: Every stream serves ~2000 arrivals over this horizon.
+STREAM_HORIZON = 8 * 3600.0
 
-    ~2000 arrivals over an 8-hour horizon through admission control,
-    the EDF queue and the full task machinery underneath.
-    """
-    from ..service import ServiceConfig, poisson_arrivals, sleep_catalog
 
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=moon_policy(True),
-        seed=PERF_SCALE.seeds[0],
-    )
-    system = moon_system(cfg)
+def _poisson(sim) -> Tuple[list, str, dict]:
+    """250 jobs/h Poisson on the sleep catalog."""
     arrivals = poisson_arrivals(
-        system.sim.rng("service/arrivals"),
+        sim.rng("service/arrivals"),
         rate_per_hour=250.0,
-        horizon=8 * 3600.0,
+        horizon=STREAM_HORIZON,
         catalog=sleep_catalog(),
     )
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=8 * 3600.0,
-            drain_limit=4 * 3600.0,
-        ),
-        pattern="poisson",
-    )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    return {
-        "events": float(system.sim.executed_events),
-        "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
-    }
+    return arrivals, "poisson", {}
 
 
-def _autoscale_2k() -> Dict[str, float]:
-    """2k-job bursty stream with the reactive provisioning controller.
-
-    Exercises the dynamic-membership machinery end to end: control
-    rounds on the sim clock, repeated provision / graceful-drain /
-    decommission cycles (tracker and DataNode registries churn, ids
-    get reused), and the node-hours accounting — on top of the same
-    admission/queue/task stack as ``service2k``.
-    """
-    from dataclasses import replace
-
-    from ..service import (
-        AutoscaleConfig,
-        ServiceConfig,
-        bursty_arrivals,
-        sleep_catalog,
-    )
-
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=replace(moon_policy(True), dedicated_primary=True),
-        seed=PERF_SCALE.seeds[0],
-    )
-    system = moon_system(cfg)
+def _bursty(sim) -> Tuple[list, str, dict]:
+    """8 bursts/h of ~30 jobs each on the sleep catalog."""
     arrivals = bursty_arrivals(
-        system.sim.rng("service/arrivals"),
+        sim.rng("service/arrivals"),
         bursts_per_hour=8.0,
         burst_size_mean=30.0,
-        horizon=8 * 3600.0,
+        horizon=STREAM_HORIZON,
         catalog=sleep_catalog(),
     )
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=8 * 3600.0,
-            drain_limit=4 * 3600.0,
-            autoscale=AutoscaleConfig(
-                policy="reactive", min_dedicated=1, max_dedicated=12
-            ),
-        ),
-        pattern="bursty",
-    )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    return {
-        "events": float(system.sim.executed_events),
-        "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
-        "scale_actions": float(len(report.scale_events)),
-        "node_hours": float(report.node_hours),
-    }
+    return arrivals, "bursty", {}
 
 
-def _replay_2k() -> Dict[str, float]:
-    """2k-job trace replay: the full workload-trace pipeline, timed.
-
-    Synthesizes a ~2000-job stream from the bundled Hadoop-style
-    sample's fitted inter-arrival law (18x load over a 4x horizon),
-    calibrates every job onto the catalogue, and serves the replay
-    through the EDF queue — fit + sample + calibrate + replay end to
-    end, on the same cluster shape as ``service2k``.
-    """
-    import numpy as np
-
-    from ..service import ServiceConfig
-    from ..workload_traces import (
-        SynthesisConfig,
-        sample_hadoop_trace,
-        synthesize,
-        trace_arrivals,
-    )
-
+def _replay(sim) -> Tuple[list, str, dict]:
+    """~2000 jobs synthesized from the bundled Hadoop-style sample's
+    fitted inter-arrival law (18x load over a 4x horizon) and
+    calibrated onto the catalogue: fit + sample + calibrate."""
     trace = synthesize(
         sample_hadoop_trace(),
         np.random.default_rng(PERF_SCALE.seeds[0]),
         SynthesisConfig(load_factor=18.0, horizon_factor=4.0),
     )
-    arrivals = trace_arrivals(trace)
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=moon_policy(True),
-        seed=PERF_SCALE.seeds[0],
-    )
-    system = moon_system(cfg)
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=trace.horizon,
-            drain_limit=4 * 3600.0,
-            trace_name=trace.name,
-        ),
-        pattern=trace.pattern,
-    )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    return {
-        "events": float(system.sim.executed_events),
-        "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
-    }
+    service = {"horizon": trace.horizon, "trace_name": trace.name}
+    return trace_arrivals(trace), trace.pattern, service
 
 
-def _preempt_2k() -> Dict[str, float]:
-    """2k-job bursty stream under SLO-aware pause preemption.
+@dataclass(frozen=True)
+class Stream:
+    """One 2k-job service-stream scenario as data.
 
-    The same admission/queue/task stack as ``service2k`` with the
-    PreemptionController armed in its heaviest mode: tight-SLO bursts
-    repeatedly demote and pause in-flight batch jobs, exercising the
-    job-level hold/release machinery (slot release, tracker
-    re-registration, shuffle re-pump on resume) at trace scale.
+    Every stream runs on the same 30+3-node cluster at unavailability
+    0.3 through the EDF queue (16 in flight, depth 256, 4 h drain);
+    a row says only what differs from that.
     """
-    from ..service import (
-        PreemptConfig,
-        ServiceConfig,
-        bursty_arrivals,
-        sleep_catalog,
-    )
 
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=moon_policy(True),
-        seed=PERF_SCALE.seeds[0],
+    description: str
+    #: ``fn(sim) -> (arrivals, pattern, ServiceConfig overrides)``.
+    arrivals: Callable[..., Tuple[list, str, dict]] = _poisson
+    #: ``SchedulerConfig`` overrides on top of MOON-Hybrid.
+    scheduler: Mapping[str, object] = field(default_factory=dict)
+    #: ``SystemConfig`` extras (detector, dfs).
+    system: Mapping[str, object] = field(default_factory=dict)
+    #: ``ServiceConfig`` extras (autoscale, preempt, ...).
+    service: Mapping[str, object] = field(default_factory=dict)
+    #: Reported key -> obs metric counter it reads.
+    counters: Mapping[str, str] = field(default_factory=dict)
+    #: Reported key -> ``fn(service report)``.
+    report: Mapping[str, Callable[..., float]] = field(default_factory=dict)
+
+
+def run_stream(stream: Stream) -> Dict[str, float]:
+    """Build the system, serve the stream, stop, report the work."""
+    system = moon_system(
+        SystemConfig(
+            cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
+            trace=TraceConfig(unavailability_rate=0.3),
+            scheduler=replace(moon_policy(True), **stream.scheduler),
+            seed=PERF_SCALE.seeds[0],
+            **stream.system,
+        )
     )
-    system = moon_system(cfg)
-    arrivals = bursty_arrivals(
-        system.sim.rng("service/arrivals"),
-        bursts_per_hour=8.0,
-        burst_size_mean=30.0,
-        horizon=8 * 3600.0,
-        catalog=sleep_catalog(),
+    arrivals, pattern, service = stream.arrivals(system.sim)
+    options = dict(
+        policy="edf",
+        max_in_flight=16,
+        max_queue_depth=256,
+        horizon=STREAM_HORIZON,
+        drain_limit=4 * 3600.0,
     )
+    options.update(stream.service, **service)
     report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=8 * 3600.0,
-            drain_limit=4 * 3600.0,
-            preempt=PreemptConfig(mode="pause"),
-            admission_prices=True,
-        ),
-        pattern="bursty",
-    )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    counts = report.preempt_counts
-    return {
-        "events": float(system.sim.executed_events),
-        "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
-        "preempt_actions": float(len(report.preempt_events)),
-        "pauses": float(counts["pause"]),
-    }
-
-
-def _detect_2k() -> Dict[str, float]:
-    """2k-job service stream judged by the adaptive honest detector.
-
-    The same admission/queue/task stack as ``service2k``, but node
-    state is *observed* rather than oracle-fed: per-node silence
-    processes, phi-accrual threshold updates on every gap, grace-period
-    requeues and late-result reconciliation all run at trace scale.
-    The detector counters double as a behaviour checksum for the whole
-    suspicion layer.
-    """
-    from ..config import DetectorConfig
-    from ..service import ServiceConfig, poisson_arrivals, sleep_catalog
-
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=moon_policy(True),
-        detector=DetectorConfig(mode="adaptive"),
-        seed=PERF_SCALE.seeds[0],
-    )
-    system = moon_system(cfg)
-    arrivals = poisson_arrivals(
-        system.sim.rng("service/arrivals"),
-        rate_per_hour=250.0,
-        horizon=8 * 3600.0,
-        catalog=sleep_catalog(),
-    )
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=8 * 3600.0,
-            drain_limit=4 * 3600.0,
-        ),
-        pattern="poisson",
+        arrivals, ServiceConfig(**options), pattern=pattern
     )
     system.jobtracker.stop()
     system.namenode.stop()
     metrics = system.obs.metrics
-    return {
+    work = {
         "events": float(system.sim.executed_events),
         "jobs_done": float(report.overall.completed),
         "sim_seconds": system.sim.now,
         "arrivals": float(len(arrivals)),
-        "trips": float(metrics.counter("detector/trips").value),
-        "false_positives": float(
-            metrics.counter("detector/false_positives").value
-        ),
-        "requeues": float(
-            metrics.counter("detector/suspicion_requeues").value
-        ),
     }
+    for key, counter in stream.counters.items():
+        work[key] = float(metrics.counter(counter).value)
+    for key, read in stream.report.items():
+        work[key] = float(read(report))
+    return work
 
 
-def _recover_2k() -> Dict[str, float]:
-    """2k-job service stream with the journal on and a mid-stream
-    NameNode crash.
-
-    The same admission/queue/task stack as ``service2k``, but every
-    namespace/block-map mutation appends a journal record, checkpoints
-    fire on the sim clock, and at t=2h the master dies: unsynced tail
-    lost, checkpoint + durable log replayed, datanode block reports
-    reconverge the replica maps while the stream keeps arriving.  The
-    journal counters double as a behaviour checksum for the whole
-    durable-metadata layer.
-    """
-    from ..config import DfsConfig, JournalConfig
-    from ..service import ServiceConfig, poisson_arrivals, sleep_catalog
-
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=moon_policy(True),
-        dfs=DfsConfig(
-            journal=JournalConfig(
-                enabled=True,
-                checkpoint_interval=600.0,
-                crash_at=2 * 3600.0,
+STREAMS: Dict[str, Stream] = {
+    # Admission control, the EDF queue and the full task machinery.
+    "service2k": Stream("2k-job Poisson service stream (EDF queue)"),
+    # Reactive provisioning: control rounds on the sim clock, repeated
+    # provision / graceful-drain / decommission cycles (tracker and
+    # DataNode registries churn, ids get reused), node-hours accounting.
+    "autoscale2k": Stream(
+        "2k-job bursty stream with reactive tier autoscaling",
+        arrivals=_bursty,
+        scheduler={"dedicated_primary": True},
+        service={
+            "autoscale": AutoscaleConfig(
+                policy="reactive", min_dedicated=1, max_dedicated=12
             )
-        ),
-        seed=PERF_SCALE.seeds[0],
-    )
-    system = moon_system(cfg)
-    arrivals = poisson_arrivals(
-        system.sim.rng("service/arrivals"),
-        rate_per_hour=250.0,
-        horizon=8 * 3600.0,
-        catalog=sleep_catalog(),
-    )
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=8 * 3600.0,
-            drain_limit=4 * 3600.0,
-        ),
-        pattern="poisson",
-    )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    metrics = system.obs.metrics
-    return {
-        "events": float(system.sim.executed_events),
-        "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
-        "journal_records": float(
-            metrics.counter("dfs/journal_records").value
-        ),
-        "checkpoints": float(metrics.counter("dfs/checkpoints").value),
-        "replicas_recovered": float(
-            metrics.counter("dfs/replicas_recovered").value
-        ),
-    }
+        },
+        report={
+            "scale_actions": lambda r: len(r.scale_events),
+            "node_hours": lambda r: r.node_hours,
+        },
+    ),
+    # The full workload-trace pipeline, end to end.
+    "replay2k": Stream(
+        "2k-job synthesized trace replay (fit + calibrate + EDF)",
+        arrivals=_replay,
+    ),
+    # Pause preemption in its heaviest mode: tight-SLO bursts demote
+    # and pause in-flight batch jobs (slot release, tracker
+    # re-registration, shuffle re-pump on resume).
+    "preempt2k": Stream(
+        "2k-job bursty stream under SLO-aware pause preemption",
+        arrivals=_bursty,
+        service={
+            "preempt": PreemptConfig(mode="pause"),
+            "admission_prices": True,
+        },
+        report={
+            "preempt_actions": lambda r: len(r.preempt_events),
+            "pauses": lambda r: r.preempt_counts["pause"],
+        },
+    ),
+    # Node state observed, not oracle-fed: per-node silence processes,
+    # phi-accrual threshold updates, grace-period requeues and
+    # late-result reconciliation; the counters checksum the suspicion
+    # layer.
+    "detect2k": Stream(
+        "2k-job Poisson stream under the adaptive honest detector",
+        system={"detector": DetectorConfig(mode="adaptive")},
+        counters={
+            "trips": "detector/trips",
+            "false_positives": "detector/false_positives",
+            "requeues": "detector/suspicion_requeues",
+        },
+    ),
+    # Journal on, checkpoints on the sim clock, and a NameNode crash at
+    # t=2h (unsynced tail lost, checkpoint + log replayed, block
+    # reports reconverge) while the stream keeps arriving; the
+    # counters checksum the durable-metadata layer.
+    "recover2k": Stream(
+        "2k-job Poisson stream, journal on, NameNode crash at 2h",
+        system={
+            "dfs": DfsConfig(
+                journal=JournalConfig(
+                    enabled=True,
+                    checkpoint_interval=600.0,
+                    crash_at=2 * 3600.0,
+                )
+            )
+        },
+        counters={
+            "journal_records": "dfs/journal_records",
+            "checkpoints": "dfs/checkpoints",
+            "replicas_recovered": "dfs/replicas_recovered",
+        },
+    ),
+}
 
 
 def scale_stream(
@@ -469,8 +350,8 @@ def scale_stream(
     """Service-scale stress: an ``n_nodes``-node cluster serving a
     day-long Poisson stream (defaults: 10k nodes, ~1M jobs over 24h).
 
-    This is the engine-scale-out checksum: batched dispatch, the
-    vectorised arrival sampler, the candidacy-indexed assignment walk
+    This is the engine-scale-out checksum: the vectorised arrival
+    sampler, the candidacy-indexed assignment walk
     and the busy-tracker registry all run at their design scale.  The
     configuration keeps per-event cost independent of cluster size on
     purpose — every choice below is a documented scaling lever, not an
@@ -491,12 +372,6 @@ def scale_stream(
     CI runs this subsampled (see ``.github/workflows/ci.yml``); the
     committed baseline pins the full size.
     """
-    from dataclasses import replace
-
-    from ..service import MoonService, ServiceConfig
-    from ..service.arrivals import WorkloadClass, poisson_arrivals_vectorised
-    from ..workloads import sleep_spec
-
     n_dedicated = min(100, max(1, n_nodes // 100))
     sched = replace(
         moon_policy(True),
@@ -589,23 +464,10 @@ SCENARIOS: Dict[str, Scenario] = {
                  _fig6_slice),
         Scenario("fig7", "Fig. 7 slice: Hadoop-VO + MOON-Hybrid D6 at 0.5",
                  _fig7_slice),
-        Scenario("service2k", "2k-job Poisson service stream (EDF queue)",
-                 _service_2k),
-        Scenario("autoscale2k",
-                 "2k-job bursty stream with reactive tier autoscaling",
-                 _autoscale_2k),
-        Scenario("replay2k",
-                 "2k-job synthesized trace replay (fit + calibrate + EDF)",
-                 _replay_2k),
-        Scenario("preempt2k",
-                 "2k-job bursty stream under SLO-aware pause preemption",
-                 _preempt_2k),
-        Scenario("detect2k",
-                 "2k-job Poisson stream under the adaptive honest detector",
-                 _detect_2k),
-        Scenario("recover2k",
-                 "2k-job Poisson stream, journal on, NameNode crash at 2h",
-                 _recover_2k),
+        *(
+            Scenario(name, stream.description, partial(run_stream, stream))
+            for name, stream in STREAMS.items()
+        ),
         Scenario("fairshare", "192-map sort on the fair-share network",
                  _fairshare_sort),
         Scenario("scale10k",
