@@ -20,17 +20,13 @@ from ..analysis import estimate_makespan, strategy_table
 from ..config import (
     DETECTOR_MODES,
     ClusterConfig,
-    DetectorConfig,
-    DfsConfig,
-    JournalConfig,
     SchedulerConfig,
     SystemConfig,
     TraceConfig,
-    moon_scheduler_config,
 )
 from ..core import hadoop_system, moon_system
 from ..experiments import ablations, current_scale, fig1, fig4, fig6, fig7
-from ..plotting import bar_chart, histogram
+from ..plotting import bar_chart, histogram, table
 from ..traces import (
     CorrelatedConfig,
     compute_stats,
@@ -57,17 +53,19 @@ _APPS = {"sort": "sort", "wordcount": "word count"}
 # ======================================================================
 # Observability / JSON-report plumbing
 # ======================================================================
-def _make_obs(args):
+def _make_obs(args, trace: bool = False):
     """An :class:`~repro.obs.Observability` when any flight-recorder
-    flag was passed; None keeps obs entirely off (the default, which
-    is byte-identical to a build without the obs layer)."""
-    if args.trace_out is None and args.metrics_out is None:
+    flag was passed (or ``trace`` arms the tracer regardless); None
+    keeps obs entirely off (the default, which is byte-identical to a
+    build without the obs layer)."""
+    trace = trace or args.trace_out is not None
+    if not trace and args.metrics_out is None:
         return None
     from ..obs import Observability, ObsConfig
 
     return Observability(
         ObsConfig(
-            trace=args.trace_out is not None,
+            trace=trace,
             trace_out=args.trace_out,
             metrics_out=args.metrics_out,
             max_trace_events=args.max_trace_events,
@@ -224,7 +222,7 @@ def cmd_run(args) -> int:
 
 
 # ======================================================================
-# serve
+# serve / replay / sweep: flag -> SweepSpec translation
 # ======================================================================
 #: Serve-flag defaults by mode: the autoscale demonstration needs a
 #: regime where tier *capacity* (not the admission bound) limits the
@@ -251,189 +249,141 @@ def _resolve_serve_defaults(args) -> None:
             setattr(args, flag, autoscale if scaled else normal)
 
 
-#: Overall summary columns (ServiceReport.summary_row) and the
-#: autoscale cost / preemption extensions (cost_row / preempt_row),
-#: shared by the serve and replay comparison tables.
-_SUMMARY_COLS = ["done", "p50 s", "p95 s", "p99 s", "miss", "good/h",
-                 "fairness"]
-_COST_COLS = _SUMMARY_COLS + ["node-h", "tier", "ops"]
-_PREEMPT_COLS = _SUMMARY_COLS + ["depri", "pauses"]
-_DETECT_COLS = _SUMMARY_COLS + ["detect s", "false+", "requeues", "wasted s"]
+#: SweepSpec fields named differently from their flag.
+_RENAMED = {"volatile": "n_volatile", "dedicated": "n_dedicated",
+            "rate": "unavailability_rate", "queue_depth": "max_queue_depth"}
 
 
-def _reject_autoscale_policy_all(args) -> bool:
-    """Shared serve/replay rule: autoscale compares provisioning
-    policies on *one* queue policy."""
-    if args.autoscale is not None and args.policy == "all":
-        log.error(
-            "--autoscale compares provisioning policies on one queue "
-            "policy; pass a single --policy (e.g. edf), not 'all'"
-        )
-        return True
-    return False
+def _grid_spec(args, **fields):
+    """The validated SweepSpec of a serve/replay/sweep/explain
+    invocation: the value of every flag naming a spec field, each
+    `--X all` flag as every value of that axis, and ``fields`` (the
+    replay stream, sweep's lists) on top."""
+    from dataclasses import fields as spec_fields
 
-
-def _reject_preempt_all_conflicts(args) -> bool:
-    """Shared serve/replay rule: `--preempt all` compares preemption
-    modes on one queue policy with a fixed tier — one axis at a time."""
-    if args.preempt == "all" and (
-        args.policy == "all" or args.autoscale is not None
-    ):
-        log.error(
-            "--preempt all compares preemption modes on one queue "
-            "policy with a fixed dedicated tier; pass a single "
-            "--policy (e.g. edf) and drop --autoscale"
-        )
-        return True
-    return False
-
-
-def _reject_detector_all_conflicts(args) -> bool:
-    """Shared serve/replay rule: `--detector all` compares detection
-    modes on one queue policy with everything else fixed."""
-    if args.detector == "all" and (
-        args.policy == "all"
-        or args.autoscale is not None
-        or args.preempt == "all"
-    ):
-        log.error(
-            "--detector all compares detection modes on one queue "
-            "policy with a fixed tier and preemption mode; pass a "
-            "single --policy/--preempt and drop --autoscale"
-        )
-        return True
-    return False
-
-
-def _detector_modes(args):
-    """The detection cells of one serve/replay run."""
-    if args.detector == "all":
-        return list(DETECTOR_MODES)
-    return [args.detector]
-
-
-def _detector_cfg(args, mode) -> DetectorConfig:
-    return DetectorConfig(mode=mode, timeout_scale=args.detector_scale)
-
-
-def _journal_cfg(args) -> DfsConfig:
-    """DfsConfig from the --journal flags.  --namenode-crash implies
-    the journal on (a crash without one is unrecoverable, and the
-    flag's whole point is the failover)."""
-    crash = getattr(args, "namenode_crash", None)
-    if getattr(args, "journal", "off") != "on" and crash is None:
-        return DfsConfig()
-    return DfsConfig(
-        journal=JournalConfig(
-            enabled=True,
-            checkpoint_interval=args.checkpoint_interval,
-            crash_at=crash,
-        )
-    )
-
-
-def _preempt_modes(args):
-    """The preemption cells of one serve/replay run ([None] = the
-    classic service without a controller)."""
-    from ..service import PREEMPT_MODES
-
-    if args.preempt == "all":
-        return list(PREEMPT_MODES)
-    return [args.preempt]
-
-
-def _preempt_cfg(mode):
-    from ..service import PreemptConfig
-
-    return None if mode is None else PreemptConfig(mode=mode)
-
-
-def _max_dedicated(args) -> int:
-    """The autoscale ceiling when --max-dedicated is unset."""
-    return (
-        args.max_dedicated
-        if args.max_dedicated is not None
-        else max(2 * args.dedicated, args.min_dedicated + 1)
-    )
-
-
-def _serve_arrivals(args, system):
-    """Build the arrival stream for one serve run (seed-deterministic)."""
     from ..service import (
-        bursty_arrivals,
-        default_catalog,
-        diurnal_arrivals,
-        poisson_arrivals,
-        sleep_catalog,
+        AUTOSCALE_POLICIES,
+        PREEMPT_MODES,
+        QUEUE_POLICIES,
+        SweepSpec,
     )
 
-    catalog = (
-        sleep_catalog() if args.catalog == "sleep"
-        else default_catalog(block_mb=args.block_mb)
+    flags = vars(args)
+    names = {f.name for f in spec_fields(SweepSpec)}
+    spec = {
+        _RENAMED.get(flag, flag): value
+        for flag, value in flags.items()
+        if _RENAMED.get(flag, flag) in names
+    }
+    for flag, axis, choices in (
+        ("autoscale", "autoscales", AUTOSCALE_POLICIES),
+        ("policy", "policies", QUEUE_POLICIES),
+        ("preempt", "preempts", PREEMPT_MODES),
+        ("detector", "detectors", DETECTOR_MODES),
+        ("seed", "seeds", ()),
+    ):
+        if flag in flags:
+            value = flags[flag]
+            spec[axis] = tuple(choices) if value == "all" else (value,)
+    spec.update(fields)
+    spec = SweepSpec(**spec)
+    spec.validate()
+    return spec
+
+
+def _replay_spec(args):
+    """Load the --trace file (synthesized when --scale/--stretch ask),
+    calibrate it once — a bad trace fails before any cell runs, and
+    the frozen arrival list is shared by every cell — and build the
+    grid spec serving it.  Returns None after logging a bad input."""
+    from ..errors import ReproError
+    from ..workload_traces import (
+        CalibrationConfig,
+        SynthesisConfig,
+        load_workload_trace,
+        synthesize,
+        trace_arrivals,
     )
-    tenants = tuple(f"tenant-{i + 1}" for i in range(args.tenants))
-    rng = system.sim.rng("service/arrivals")
-    horizon = args.hours * 3600.0
-    if args.pattern == "poisson":
-        return poisson_arrivals(
-            rng, args.jobs_per_hour, horizon, catalog, tenants
+
+    flags = vars(args)
+    try:
+        trace = load_workload_trace(args.trace)
+        synthesis = {
+            f: flags[flag]
+            for flag, f in (("scale", "load_factor"),
+                            ("stretch", "horizon_factor"))
+            if flags.get(flag) is not None
+        }
+        if synthesis:
+            trace = synthesize(
+                trace,
+                np.random.default_rng(args.seed),
+                SynthesisConfig(**synthesis),
+            )
+        calibration = CalibrationConfig(
+            **{
+                f: flags[f]
+                for f in ("max_maps", "max_reduces", "time_scale")
+                if f in flags
+            }
         )
-    if args.pattern == "bursty":
-        # Bursts of --burst-size jobs whose epoch rate preserves the
-        # requested mean arrival rate exactly.
-        return bursty_arrivals(
-            rng,
-            bursts_per_hour=args.jobs_per_hour / args.burst_size,
-            burst_size_mean=args.burst_size,
-            horizon=horizon,
-            catalog=catalog,
-            tenants=tenants,
+        spec = _grid_spec(
+            args,
+            trace=trace,
+            arrivals=tuple(trace_arrivals(trace, calibration)),
+            pattern=trace.pattern,
         )
-    return diurnal_arrivals(
-        rng, args.jobs_per_hour, horizon, catalog, tenants
-    )
+    except (ReproError, OSError) as exc:
+        log.error("%s: %s", args.command, exc)
+        return None
+    return spec
 
 
-def _serve_system(args, dedicated_primary: bool = False, obs=None,
-                  detector=None):
-    """A fresh system per serve cell: same seed -> same traces and the
-    same arrival draws, so policies compete on identical streams."""
-    from dataclasses import replace as _replace
+def _serve_grid(args, spec) -> int:
+    """Serve every cell of ``spec``: each cell's report and audit logs,
+    then the one comparison table, then the --json, flight-recorder
+    and --capture artifacts (the recorder and capture ride the first
+    cell)."""
+    from ..service import comparison_table, render_cell, serve_grid
 
-    scheduler = moon_scheduler_config()
-    if dedicated_primary:
-        scheduler = _replace(scheduler, dedicated_primary=True)
-    cfg = SystemConfig(
-        cluster=ClusterConfig(
-            n_volatile=args.volatile, n_dedicated=args.dedicated
-        ),
-        trace=TraceConfig(unavailability_rate=args.rate),
-        scheduler=scheduler,
-        detector=(detector if detector is not None else DetectorConfig()),
-        dfs=_journal_cfg(args),
-        seed=args.seed,
-    )
-    return moon_system(cfg, obs=obs)
+    capture = vars(args).get("capture")
+    obs = _make_obs(args)
+    reports = []
+    captured = None
+    for _, service, report in serve_grid(
+        spec, obs=obs, capture=capture is not None
+    ):
+        print(render_cell(report))
+        if not reports:
+            captured = service.captured_trace
+        reports.append(report)
+    summary = comparison_table(spec, reports)
+    if summary is not None:
+        print(summary)
+    if args.json_out is not None:
+        _write_reports_json(args.json_out, [r.to_dict() for r in reports])
+    _export_obs(obs)
+    if captured is not None:
+        from ..workload_traces import save_workload_json
+
+        try:
+            save_workload_json(capture, captured)
+        except OSError as exc:
+            log.error("replay: cannot write capture: %s", exc)
+            return 2
+        log.info("captured %d arrivals -> %s", len(captured), capture)
+    return 0
 
 
 def cmd_serve(args) -> int:
     """Serve a continuous job stream and report SLO metrics."""
-    from ..plotting import table
-    from ..service import QUEUE_POLICIES, ServiceConfig
+    from ..errors import ConfigError
 
     _resolve_serve_defaults(args)
-    if args.pattern == "replay":
-        # Fail fast (same check MoonService makes as a ConfigError):
-        # serve synthesizes streams; a replay stream needs a trace file.
-        log.error(
-            "serve generates synthetic streams (poisson|bursty|diurnal) "
-            "and cannot produce 'replay' entries; feed a workload trace "
-            "with `repro replay --trace <file>` instead"
-        )
-        return 2
-    if _reject_preempt_all_conflicts(args):
-        return 2
-    if _reject_detector_all_conflicts(args):
+    try:
+        spec = _grid_spec(args)
+    except ConfigError as exc:
+        log.error("serve: %s", exc)
         return 2
     if args.checkpoint is not None or args.checkpoint_at is not None:
         if args.checkpoint is None or args.checkpoint_at is None:
@@ -441,117 +391,29 @@ def cmd_serve(args) -> int:
                 "--checkpoint PATH and --checkpoint-at T go together"
             )
             return 2
-        if (
-            args.policy == "all"
-            or args.preempt == "all"
-            or args.detector == "all"
-            or args.autoscale is not None
-        ):
+        if spec.varying():
             log.error(
-                "--checkpoint snapshots one run; pass a single "
-                "--policy/--preempt/--detector and drop --autoscale"
+                "--checkpoint snapshots one cell; pass a single "
+                "--policy/--autoscale/--preempt/--detector, not 'all'"
             )
             return 2
-        return _serve_checkpointed(args)
-    if args.autoscale is not None:
-        return _serve_autoscaled(args)
-    from ..service import render_preempt_events
-
-    policies = (
-        list(QUEUE_POLICIES) if args.policy == "all" else [args.policy]
-    )
-    preempt_modes = _preempt_modes(args)
-    detector_modes = _detector_modes(args)
-    summaries = []
-    json_reports = []
-    # Like --capture, the flight recorder observes the FIRST cell of a
-    # comparison; later cells run with obs off.
-    obs = _make_obs(args)
-    obs_pending = obs
-    for policy in policies:
-        for mode in preempt_modes:
-            for dmode in detector_modes:
-                system = _serve_system(
-                    args,
-                    obs=obs_pending,
-                    detector=_detector_cfg(args, dmode),
-                )
-                obs_pending = None
-                arrivals = _serve_arrivals(args, system)
-                service_cfg = ServiceConfig(
-                    policy=policy,
-                    max_in_flight=args.max_in_flight,
-                    max_queue_depth=args.queue_depth,
-                    tenant_quota=args.tenant_quota,
-                    horizon=args.hours * 3600.0,
-                    preempt=_preempt_cfg(mode),
-                    admission_prices=args.admission_prices,
-                )
-                report = system.run_service(
-                    arrivals, service_cfg, pattern=args.pattern
-                )
-                system.jobtracker.stop()
-                system.namenode.stop()
-                print(report.render())
-                print()
-                if report.preempt_events:
-                    print(render_preempt_events(report.preempt_events))
-                    print()
-                if len(detector_modes) > 1:
-                    summaries.append([dmode] + report.detector_row())
-                elif len(preempt_modes) > 1:
-                    summaries.append([mode] + report.preempt_row())
-                else:
-                    summaries.append([policy] + report.summary_row())
-                json_reports.append(report.to_dict())
-    if len(summaries) > 1:
-        if len(detector_modes) > 1:
-            headers = ["detector"] + _DETECT_COLS
-            title = (
-                f"detector comparison - {args.pattern} arrivals, "
-                f"{policies[0]} queue"
-            )
-        elif len(preempt_modes) > 1:
-            headers = ["preempt"] + _PREEMPT_COLS
-            title = (
-                f"preemption comparison - {args.pattern} arrivals, "
-                f"{policies[0]} queue"
-            )
-        else:
-            headers = ["policy"] + _SUMMARY_COLS
-            title = f"queue-policy comparison - {args.pattern} arrivals"
-        print(table(headers, summaries, title=title))
-    if args.json_out is not None:
-        _write_reports_json(args.json_out, json_reports)
-    _export_obs(obs)
-    return 0
+        return _serve_checkpointed(args, spec)
+    return _serve_grid(args, spec)
 
 
-def _serve_checkpointed(args) -> int:
+def _serve_checkpointed(args, spec) -> int:
     """One serve cell with a mid-run snapshot: advance to
     --checkpoint-at, persist the world, then keep serving to the usual
     report.  `repro resume` picks the snapshot up in a fresh process
     and produces the identical report."""
     from ..core import save_snapshot
-    from ..service import MoonService, ServiceConfig
+    from ..service import MoonService, build_cell
 
     obs = _make_obs(args)
-    system = _serve_system(
-        args, obs=obs, detector=_detector_cfg(args, args.detector)
+    system, arrivals, service_cfg = build_cell(
+        spec, next(spec.cells()), obs=obs
     )
-    arrivals = _serve_arrivals(args, system)
-    service_cfg = ServiceConfig(
-        policy=args.policy,
-        max_in_flight=args.max_in_flight,
-        max_queue_depth=args.queue_depth,
-        tenant_quota=args.tenant_quota,
-        horizon=args.hours * 3600.0,
-        preempt=_preempt_cfg(args.preempt),
-        admission_prices=args.admission_prices,
-    )
-    service = MoonService(
-        system, service_cfg, arrivals, pattern=args.pattern
-    )
+    service = MoonService(system, service_cfg, arrivals, spec.pattern)
     service.advance(args.checkpoint_at)
     save_snapshot(service, args.checkpoint)
     print(
@@ -559,8 +421,7 @@ def _serve_checkpointed(args) -> int:
         f"{args.checkpoint} (resume with `repro resume "
         f"{args.checkpoint}`)"
     )
-    service.advance(service_cfg.horizon + service_cfg.drain_limit)
-    report = service.finalize()
+    report = service.run()
     system.jobtracker.stop()
     system.namenode.stop()
     print(report.render())
@@ -570,50 +431,46 @@ def _serve_checkpointed(args) -> int:
     return 0
 
 
+def cmd_replay(args) -> int:
+    """Replay a workload-trace file through the service layer."""
+    spec = _replay_spec(args)
+    if spec is None:
+        return 2
+    print(spec.trace.summary().render())
+    print()
+    return _serve_grid(args, spec)
+
+
 def cmd_sweep(args) -> int:
     """Fan a policy x scale x seed grid across processes and merge."""
     from ..errors import ConfigError
-    from ..plotting import table
-    from ..service import (
-        QUEUE_POLICIES,
-        SweepSpec,
-        run_sweep,
-        sweep_summary_rows,
-    )
+    from ..service import QUEUE_POLICIES, run_sweep, sweep_summary_rows
+
+    def csv(text, cast):
+        return tuple(cast(v.strip()) for v in text.split(",") if v.strip())
 
     try:
-        policies = (
-            tuple(QUEUE_POLICIES)
-            if args.policies == "all"
-            else tuple(p.strip() for p in args.policies.split(","))
-        )
-        spec = SweepSpec(
-            policies=policies,
-            scales=tuple(
-                float(s) for s in args.scales.split(",") if s.strip()
+        spec = _grid_spec(
+            args,
+            policies=(
+                tuple(QUEUE_POLICIES)
+                if args.policies == "all"
+                else csv(args.policies, str)
             ),
-            seeds=tuple(
-                int(s) for s in args.seeds.split(",") if s.strip()
-            ),
-            jobs_per_hour=args.jobs_per_hour,
-            hours=args.hours,
-            n_volatile=args.volatile,
-            n_dedicated=args.dedicated,
-            unavailability_rate=args.rate,
-            catalog=args.catalog,
-            max_in_flight=args.max_in_flight,
-            max_queue_depth=args.queue_depth,
-            tenants=args.tenants,
+            scales=csv(args.scales, float),
+            seeds=csv(args.seeds, int),
         )
-        spec.validate()
     except (ConfigError, ValueError) as exc:
         log.error("bad sweep grid: %s", exc)
         return 2
-    n_cells = (
-        len(spec.policies) * len(spec.scales) * len(spec.seeds)
-    )
+    n_cells = len(list(spec.cells()))
     log.info("sweeping %d cell(s) on %d process(es)", n_cells, args.procs)
-    result = run_sweep(spec, procs=args.procs)
+    try:
+        # Validates --procs before any cell runs or pool starts.
+        result = run_sweep(spec, procs=args.procs)
+    except ConfigError as exc:
+        log.error("bad sweep grid: %s", exc)
+        return 2
     print(
         table(
             ["policy", "scale", "seed", "done", "p50 s", "p95 s",
@@ -650,7 +507,6 @@ def cmd_resume(args) -> int:
     except (SnapshotError, OSError) as exc:
         log.error("cannot load %s: %s", args.snapshot, exc)
         return 2
-    cfg = service.config
     if args.until is not None:
         drained = service.advance(args.until)
         save_snapshot(service, args.checkpoint)
@@ -660,8 +516,7 @@ def cmd_resume(args) -> int:
             f"checkpoint written -> {args.checkpoint}"
         )
         return 0
-    service.advance(cfg.horizon + cfg.drain_limit)
-    report = service.finalize()
+    report = service.run()
     service.system.jobtracker.stop()
     service.system.namenode.stop()
     if args.checkpoint is not None:
@@ -673,329 +528,28 @@ def cmd_resume(args) -> int:
     return 0
 
 
-def _serve_autoscaled(args) -> int:
-    """Serve the same stream under one or all autoscale policies."""
-    from ..plotting import table
-    from ..service import (
-        AUTOSCALE_POLICIES,
-        AutoscaleConfig,
-        ServiceConfig,
-        render_decisions,
-    )
-
-    if _reject_autoscale_policy_all(args):
-        return 2
-    scale_policies = (
-        list(AUTOSCALE_POLICIES)
-        if args.autoscale == "all"
-        else [args.autoscale]
-    )
-    max_dedicated = _max_dedicated(args)
-    summaries = []
-    json_reports = []
-    obs = _make_obs(args)
-    obs_pending = obs
-    for scale_policy in scale_policies:
-        system = _serve_system(
-            args,
-            dedicated_primary=True,
-            obs=obs_pending,
-            detector=_detector_cfg(args, args.detector),
-        )
-        obs_pending = None
-        arrivals = _serve_arrivals(args, system)
-        service_cfg = ServiceConfig(
-            policy=args.policy,
-            max_in_flight=args.max_in_flight,
-            max_queue_depth=args.queue_depth,
-            tenant_quota=args.tenant_quota,
-            horizon=args.hours * 3600.0,
-            autoscale=AutoscaleConfig(
-                policy=scale_policy,
-                interval=args.autoscale_interval,
-                min_dedicated=args.min_dedicated,
-                max_dedicated=max_dedicated,
-            ),
-            preempt=_preempt_cfg(args.preempt),
-            admission_prices=args.admission_prices,
-        )
-        report = system.run_service(
-            arrivals, service_cfg, pattern=args.pattern
-        )
-        system.jobtracker.stop()
-        system.namenode.stop()
-        print(report.render())
-        print()
-        if report.scale_events:
-            print(render_decisions(report.scale_events))
-            print()
-        summaries.append([scale_policy] + report.cost_row())
-        json_reports.append(report.to_dict())
-    if len(summaries) > 1:
-        print(
-            table(
-                ["autoscale"] + _COST_COLS,
-                summaries,
-                title=(
-                    f"autoscale-policy comparison - {args.pattern} "
-                    f"arrivals, {args.policy} queue "
-                    f"(D{args.dedicated}, bounds "
-                    f"{args.min_dedicated}..{max_dedicated})"
-                ),
-            )
-        )
-    if args.json_out is not None:
-        _write_reports_json(args.json_out, json_reports)
-    _export_obs(obs)
-    return 0
-
-
-# ======================================================================
-# replay
-# ======================================================================
-def _replay_service_config(
-    args, policy, autoscale_cfg, capture, trace, preempt_mode=None
-):
-    """One replay cell's ServiceConfig (horizon = the trace's)."""
-    from ..service import ServiceConfig
-
-    return ServiceConfig(
-        policy=policy,
-        max_in_flight=args.max_in_flight,
-        max_queue_depth=args.queue_depth,
-        tenant_quota=args.tenant_quota,
-        horizon=trace.horizon,
-        drain_limit=args.drain_hours * 3600.0,
-        autoscale=autoscale_cfg,
-        capture=capture,
-        trace_name=trace.name,
-        preempt=_preempt_cfg(preempt_mode),
-        admission_prices=args.admission_prices,
-    )
-
-
-def cmd_replay(args) -> int:
-    """Replay a workload-trace file through the service layer."""
-    from ..errors import ReproError
-    from ..plotting import table
-    from ..service import (
-        AUTOSCALE_POLICIES,
-        QUEUE_POLICIES,
-        AutoscaleConfig,
-        MoonService,
-        render_decisions,
-        render_preempt_events,
-    )
-    from ..workload_traces import (
-        CalibrationConfig,
-        SynthesisConfig,
-        load_workload_trace,
-        save_workload_json,
-        synthesize,
-        trace_arrivals,
-    )
-
-    if _reject_autoscale_policy_all(args):
-        return 2
-    if _reject_preempt_all_conflicts(args):
-        return 2
-    if _reject_detector_all_conflicts(args):
-        return 2
-    try:
-        trace = load_workload_trace(args.trace)
-        if args.scale is not None or args.stretch is not None:
-            trace = synthesize(
-                trace,
-                np.random.default_rng(args.seed),
-                SynthesisConfig(
-                    load_factor=(
-                        1.0 if args.scale is None else args.scale
-                    ),
-                    horizon_factor=(
-                        1.0 if args.stretch is None else args.stretch
-                    ),
-                ),
-            )
-        calibration = CalibrationConfig(
-            max_maps=args.max_maps,
-            max_reduces=args.max_reduces,
-            time_scale=args.time_scale,
-        )
-        # Calibrated once: a bad trace fails before any cell runs, and
-        # the frozen JobArrival list is safely shared across cells.
-        arrivals = trace_arrivals(trace, calibration)
-    except (ReproError, OSError) as exc:
-        log.error("replay: %s", exc)
-        return 2
-    print(trace.summary().render())
-    print()
-
-    scale_policies = (
-        list(AUTOSCALE_POLICIES) if args.autoscale == "all"
-        else [args.autoscale] if args.autoscale is not None
-        else [None]
-    )
-    queue_policies = (
-        list(QUEUE_POLICIES) if args.policy == "all" else [args.policy]
-    )
-    max_dedicated = _max_dedicated(args)
-    preempt_modes = _preempt_modes(args)
-    detector_modes = _detector_modes(args)
-    cells = [
-        (policy, scale_policy, mode, dmode)
-        for scale_policy in scale_policies
-        for policy in queue_policies
-        for mode in preempt_modes
-        for dmode in detector_modes
-    ]
-    summaries = []
-    json_reports = []
-    captured = None
-    # As with --capture, the flight recorder rides the FIRST cell only.
-    obs = _make_obs(args)
-    obs_pending = obs
-    for policy, scale_policy, mode, dmode in cells:
-        autoscale_cfg = (
-            None if scale_policy is None
-            else AutoscaleConfig(
-                policy=scale_policy,
-                interval=args.autoscale_interval,
-                min_dedicated=args.min_dedicated,
-                max_dedicated=max_dedicated,
-            )
-        )
-        system = _serve_system(
-            args,
-            dedicated_primary=scale_policy is not None,
-            obs=obs_pending,
-            detector=_detector_cfg(args, dmode),
-        )
-        obs_pending = None
-        service = MoonService(
-            system,
-            _replay_service_config(
-                args, policy, autoscale_cfg,
-                capture=(args.capture is not None and captured is None),
-                trace=trace,
-                preempt_mode=mode,
-            ),
-            arrivals,
-            pattern=trace.pattern,
-        )
-        report = service.run()
-        if service.captured_trace is not None:
-            captured = service.captured_trace
-        system.jobtracker.stop()
-        system.namenode.stop()
-        print(report.render())
-        print()
-        if report.scale_events:
-            print(render_decisions(report.scale_events))
-            print()
-        if report.preempt_events:
-            print(render_preempt_events(report.preempt_events))
-            print()
-        if scale_policy is not None:
-            summaries.append([scale_policy, policy] + report.cost_row())
-        elif len(preempt_modes) > 1:
-            summaries.append([mode] + report.preempt_row())
-        elif len(detector_modes) > 1:
-            summaries.append([dmode] + report.detector_row())
-        else:
-            summaries.append([policy] + report.summary_row())
-        json_reports.append(report.to_dict())
-    if len(summaries) > 1:
-        if scale_policies != [None]:
-            headers = ["autoscale", "policy"] + _COST_COLS
-            title = (
-                f"autoscale-policy comparison - trace {trace.name}, "
-                f"{queue_policies[0]} queue (D{args.dedicated}, bounds "
-                f"{args.min_dedicated}..{max_dedicated})"
-            )
-        elif len(preempt_modes) > 1:
-            headers = ["preempt"] + _PREEMPT_COLS
-            title = (
-                f"preemption comparison - trace {trace.name}, "
-                f"{queue_policies[0]} queue"
-            )
-        elif len(detector_modes) > 1:
-            headers = ["detector"] + _DETECT_COLS
-            title = (
-                f"detector comparison - trace {trace.name}, "
-                f"{queue_policies[0]} queue"
-            )
-        else:
-            headers = ["policy"] + _SUMMARY_COLS
-            title = f"queue-policy comparison - replayed trace {trace.name}"
-        print(table(headers, summaries, title=title))
-    if args.json_out is not None:
-        _write_reports_json(args.json_out, json_reports)
-    _export_obs(obs)
-    if args.capture is not None and captured is not None:
-        try:
-            save_workload_json(args.capture, captured)
-        except OSError as exc:
-            log.error("replay: cannot write capture: %s", exc)
-            return 2
-        log.info("captured %d arrivals -> %s", len(captured), args.capture)
-    return 0
-
-
 # ======================================================================
 # explain / diff
 # ======================================================================
 def _explain_replay(args):
     """Replay one cell with an in-memory tracer; return (explanation,
     obs) or (None, None) after logging the usage error."""
-    from ..errors import ReproError
-    from ..obs import Observability, ObsConfig
     from ..obs.explain import explain_tracer
-    from ..service import MoonService
-    from ..workload_traces import (
-        CalibrationConfig,
-        SynthesisConfig,
-        load_workload_trace,
-        synthesize,
-        trace_arrivals,
-    )
+    from ..service import serve_cell
 
-    try:
-        trace = load_workload_trace(args.trace)
-        if args.scale is not None:
-            trace = synthesize(
-                trace,
-                np.random.default_rng(args.seed),
-                SynthesisConfig(load_factor=args.scale),
-            )
-        arrivals = trace_arrivals(trace, CalibrationConfig())
-    except (ReproError, OSError) as exc:
-        log.error("explain: %s", exc)
+    spec = _replay_spec(args)
+    if spec is None:
+        return None, None
+    if spec.varying():
+        log.error(
+            "explain: attributes one cell; pass a single "
+            "--preempt/--detector mode, not 'all'"
+        )
         return None, None
     # The recorder is the whole point here: armed unconditionally,
     # with any --trace-out/--metrics-out files riding along.
-    obs = Observability(
-        ObsConfig(
-            trace=True,
-            trace_out=args.trace_out,
-            metrics_out=args.metrics_out,
-            max_trace_events=args.max_trace_events,
-        )
-    )
-    system = _serve_system(
-        args, obs=obs, detector=_detector_cfg(args, args.detector)
-    )
-    service = MoonService(
-        system,
-        _replay_service_config(
-            args, args.policy, None,
-            capture=False, trace=trace, preempt_mode=args.preempt,
-        ),
-        arrivals,
-        pattern=trace.pattern,
-    )
-    service.run()
-    system.jobtracker.stop()
-    system.namenode.stop()
+    obs = _make_obs(args, trace=True)
+    serve_cell(spec, next(spec.cells()), obs=obs)
     return explain_tracer(obs.tracer), obs
 
 
@@ -1015,12 +569,6 @@ def cmd_explain(args) -> int:
             log.error(
                 "explain: pass --trace <workload file> to replay, or "
                 "--from <trace-out JSON> to explain a recorded run"
-            )
-            return 2
-        if args.preempt == "all" or args.detector == "all":
-            log.error(
-                "explain: attributes one cell; pass a single "
-                "--preempt/--detector mode, not 'all'"
             )
             return 2
         explanation, obs = _explain_replay(args)

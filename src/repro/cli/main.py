@@ -39,6 +39,32 @@ def _add_obs_flags(parser) -> None:
     )
 
 
+def _add_json_flag(parser, help: str) -> None:
+    parser.add_argument(
+        "--json", default=None, metavar="PATH", dest="json_out", help=help
+    )
+
+
+def _add_replay_world_flags(parser) -> None:
+    """The service and cluster flags shared verbatim by replay and
+    explain."""
+    parser.add_argument("--max-in-flight", type=int, default=4,
+                        help="jobs concurrently admitted to the cluster")
+    parser.add_argument("--queue-depth", type=int, default=64,
+                        help="queue bound; arrivals beyond it are "
+                             "rejected")
+    parser.add_argument("--tenant-quota", type=int, default=None,
+                        help="max in-flight jobs per tenant")
+    parser.add_argument("--drain-hours", type=float, default=4.0,
+                        help="extra simulated hours to drain the "
+                             "backlog after the trace horizon")
+    parser.add_argument("--rate", type=float, default=0.3,
+                        help="volatile-node unavailability rate")
+    parser.add_argument("--volatile", type=int, default=12)
+    parser.add_argument("--dedicated", type=int, default=2)
+    parser.add_argument("--seed", type=int, default=42)
+
+
 def _add_autoscale_bounds(parser) -> None:
     """The autoscale-bounds flags shared verbatim by serve and replay."""
     parser.add_argument("--min-dedicated", type=int, default=1,
@@ -62,8 +88,8 @@ def _add_detector_flags(parser) -> None:
              "judgements, the byte-identical historical default), "
              "'timeout' (honest fixed heartbeat timeouts with "
              "observation noise), 'adaptive' (phi-accrual-style "
-             "per-node thresholds); 'all' compares the three on one "
-             "queue policy",
+             "per-node thresholds); 'all' adds the three as a grid "
+             "axis",
     )
     parser.add_argument(
         "--detector-scale",
@@ -113,7 +139,7 @@ def _add_preemption_flags(parser) -> None:
         help="act on in-flight loose-SLO jobs when tight-SLO arrivals "
              "queue up: demote them ('deprioritise') or additionally "
              "suspend them under sustained pressure ('pause'); 'all' "
-             "compares the three modes on one queue policy",
+             "adds the three modes as a grid axis",
     )
     parser.add_argument(
         "--admission-prices",
@@ -280,13 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="autoscale the dedicated tier with this provisioning "
              "policy ('all' compares the three on cost and SLO)",
     )
-    serve_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="also write the report(s) as versioned JSON",
-    )
+    _add_json_flag(serve_p, "also write the report(s) as versioned JSON")
     serve_p.add_argument(
         "--checkpoint",
         default=None,
@@ -375,28 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="calibration cap on reduce tasks per job")
     replay_p.add_argument("--time-scale", type=float, default=1.0,
                           help="stretch/compress per-task durations")
-    replay_p.add_argument("--max-in-flight", type=int, default=4,
-                          help="jobs concurrently admitted to the cluster")
-    replay_p.add_argument("--queue-depth", type=int, default=64,
-                          help="queue bound; arrivals beyond it are "
-                               "rejected")
-    replay_p.add_argument("--tenant-quota", type=int, default=None,
-                          help="max in-flight jobs per tenant")
-    replay_p.add_argument("--drain-hours", type=float, default=4.0,
-                          help="extra simulated hours to drain the "
-                               "backlog after the trace horizon")
-    replay_p.add_argument("--rate", type=float, default=0.3,
-                          help="volatile-node unavailability rate")
-    replay_p.add_argument("--volatile", type=int, default=12)
-    replay_p.add_argument("--dedicated", type=int, default=2)
-    replay_p.add_argument("--seed", type=int, default=42)
-    replay_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="also write the report(s) as versioned JSON",
-    )
+    _add_replay_world_flags(replay_p)
+    _add_json_flag(replay_p, "also write the report(s) as versioned JSON")
     _add_autoscale_bounds(replay_p)
     _add_preemption_flags(replay_p)
     _add_detector_flags(replay_p)
@@ -463,13 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--volatile", type=int, default=8)
     sweep_p.add_argument("--dedicated", type=int, default=2)
     sweep_p.add_argument("--tenants", type=int, default=3)
-    sweep_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="write the merged sweep report (canonical bytes)",
-    )
+    _add_json_flag(sweep_p, "write the merged sweep report (canonical bytes)")
 
     # --- resume ---------------------------------------------------------
     resume_p = sub.add_parser(
@@ -501,13 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write a new snapshot after advancing",
     )
-    resume_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="also write the final report as versioned JSON",
-    )
+    _add_json_flag(resume_p, "also write the final report as versioned JSON")
 
     # --- explain --------------------------------------------------------
     explain_p = sub.add_parser(
@@ -559,22 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="explain the K slowest jobs (default 3)")
     explain_p.add_argument("--tenant", default=None,
                            help="explain every job of one tenant")
-    explain_p.add_argument("--max-in-flight", type=int, default=4)
-    explain_p.add_argument("--queue-depth", type=int, default=64)
-    explain_p.add_argument("--tenant-quota", type=int, default=None)
-    explain_p.add_argument("--drain-hours", type=float, default=4.0)
-    explain_p.add_argument("--rate", type=float, default=0.3,
-                           help="volatile-node unavailability rate")
-    explain_p.add_argument("--volatile", type=int, default=12)
-    explain_p.add_argument("--dedicated", type=int, default=2)
-    explain_p.add_argument("--seed", type=int, default=42)
-    explain_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="also write the explanation as versioned JSON",
-    )
+    _add_replay_world_flags(explain_p)
+    _add_json_flag(explain_p, "also write the explanation as versioned JSON")
     _add_preemption_flags(explain_p)
     _add_detector_flags(explain_p)
     _add_journal_flags(explain_p)
@@ -698,13 +672,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_p.add_argument("--top", type=int, default=20,
                            help="rows in the hot table")
-    profile_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="also write the profile as versioned JSON "
-             "(schema_version, scenarios, per-event count/seconds)",
+    _add_json_flag(
+        profile_p,
+        "also write the profile as versioned JSON "
+        "(schema_version, scenarios, per-event count/seconds)",
     )
     _add_obs_flags(profile_p)
 

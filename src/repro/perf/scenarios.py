@@ -19,33 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..config import (
-    ClusterConfig,
-    DetectorConfig,
-    DfsConfig,
-    JournalConfig,
-    SchedulerConfig,
-    SystemConfig,
-    TraceConfig,
-)
+from ..config import ClusterConfig, SystemConfig, TraceConfig
 from ..core import hadoop_system, moon_system
 from ..dfs import ReplicationFactor
-from ..experiments.harness import hadoop_policy, moon_policy
-from ..experiments.scale import Scale, sort_at
+from ..experiments.harness import hadoop_policy, moon_policy, rf
+from ..experiments.scale import Scale, sort_at, system_config
 from ..service import (
-    AutoscaleConfig,
     MoonService,
-    PreemptConfig,
     ServiceConfig,
+    SweepSpec,
     WorkloadClass,
-    bursty_arrivals,
-    poisson_arrivals,
+    build_cell,
     poisson_arrivals_vectorised,
-    sleep_catalog,
 )
 from ..workload_traces import (
     SynthesisConfig,
@@ -53,7 +42,7 @@ from ..workload_traces import (
     synthesize,
     trace_arrivals,
 )
-from ..workloads import JobSpec, sleep_spec
+from ..workloads import sleep_spec
 
 #: The scale every scenario runs at (the benchmarks' reduced scale,
 #: pinned here so env overrides cannot skew baseline comparisons).
@@ -68,40 +57,58 @@ PERF_SCALE = Scale(
 )
 
 
-def _rf(d: int, v: int) -> ReplicationFactor:
-    return ReplicationFactor(d, v)
+# ----------------------------------------------------------------------
+# Paper-pipeline sorts: one row of data per scenario, one runner
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SortJob:
+    """One sort job on a fresh PERF_SCALE cluster, as data.
+
+    The defaults are the MOON-Hybrid cell at unavailability 0.5:
+    ``{1,3}`` input and output replicas, ``{1,1}`` intermediate data,
+    the FIFO network.
+    """
+
+    input_rf: ReplicationFactor = rf(1, 3)
+    output_rf: ReplicationFactor = rf(1, 3)
+    intermediate_rf: ReplicationFactor = rf(1, 1)
+    rate: float = 0.5
+    #: Hadoop-VO (``hadoop_system`` under the Hadoop1Min scheduler)
+    #: instead of MOON-Hybrid.
+    hadoop: bool = False
+    #: Map count override (None = the scale's sort size).
+    n_maps: Optional[int] = None
+    network_model: str = "fifo"
 
 
-def _cell_config(
-    rate: float,
-    scheduler: SchedulerConfig,
-    n_dedicated: Optional[int] = None,
-    network_model: str = "fifo",
-) -> SystemConfig:
-    return SystemConfig(
-        cluster=ClusterConfig(
-            n_volatile=PERF_SCALE.n_volatile,
-            n_dedicated=(
-                PERF_SCALE.n_dedicated if n_dedicated is None else n_dedicated
-            ),
-        ),
-        trace=TraceConfig(unavailability_rate=rate),
-        scheduler=scheduler,
-        seed=PERF_SCALE.seeds[0],
-        network_model=network_model,
-    )
+@dataclass(frozen=True)
+class Sort:
+    """One sort scenario: its jobs run one after another."""
+
+    description: str
+    jobs: Tuple[SortJob, ...]
 
 
-def _run_cells(
-    cells: List[Tuple[JobSpec, float, SchedulerConfig, bool, Optional[int], str]]
-) -> Dict[str, float]:
-    """Run (spec, rate, sched, hadoop_mode, n_dedicated, net) cells."""
+def run_sort(sort: Sort) -> Dict[str, float]:
+    """Run each job on its own fresh system; sum the work."""
     events = 0
     jobs_done = 0
     sim_seconds = 0.0
-    for spec, rate, sched, hadoop_mode, n_ded, net in cells:
-        cfg = _cell_config(rate, sched, n_dedicated=n_ded, network_model=net)
-        system = hadoop_system(cfg) if hadoop_mode else moon_system(cfg)
+    for job in sort.jobs:
+        spec = sort_at(PERF_SCALE).with_(
+            input_rf=job.input_rf,
+            output_rf=job.output_rf,
+            intermediate_rf=job.intermediate_rf,
+            **({} if job.n_maps is None else {"n_maps": job.n_maps}),
+        )
+        cfg = system_config(
+            PERF_SCALE,
+            job.rate,
+            hadoop_policy(1) if job.hadoop else moon_policy(True),
+            PERF_SCALE.seeds[0],
+            network_model=job.network_model,
+        )
+        system = hadoop_system(cfg) if job.hadoop else moon_system(cfg)
         result = system.run_job(spec, time_limit=PERF_SCALE.time_limit)
         system.jobtracker.stop()
         system.namenode.stop()
@@ -116,80 +123,53 @@ def _run_cells(
     }
 
 
-# ----------------------------------------------------------------------
-# Scenario bodies
-# ----------------------------------------------------------------------
-def _fig6_slice() -> Dict[str, float]:
-    """Fig. 6 pipeline slice: sort under HA-V1 and VO-V1 at rate 0.5.
-
-    The two intermediate-replication extremes exercise the shuffle
-    pump, write pipelines and the replication queue back to back.
-    """
-    def spec(inter: ReplicationFactor) -> JobSpec:
-        return sort_at(PERF_SCALE).with_(
-            intermediate_rf=inter, input_rf=_rf(1, 3), output_rf=_rf(1, 3)
-        )
-
-    return _run_cells(
-        [
-            (spec(_rf(1, 1)), 0.5, moon_policy(True), False, None, "fifo"),
-            (spec(_rf(0, 1)), 0.5, moon_policy(True), False, None, "fifo"),
-        ]
-    )
-
-
-def _fig7_slice() -> Dict[str, float]:
-    """Fig. 7 pipeline slice: Hadoop-VO vs MOON-Hybrid D6 at rate 0.5.
-
-    The Hadoop-VO cell (six uniform replicas) floods the DFS layers;
-    the MOON cell covers hybrid scheduling plus hibernation handling.
-    """
-    base = sort_at(PERF_SCALE)
-    hadoop_spec = base.with_(
-        input_rf=_rf(0, 6), output_rf=_rf(0, 6), intermediate_rf=_rf(0, 3)
-    )
-    moon_spec = base.with_(
-        input_rf=_rf(1, 3), output_rf=_rf(1, 3), intermediate_rf=_rf(1, 1)
-    )
-    return _run_cells(
-        [
-            (hadoop_spec, 0.5, hadoop_policy(1), True, None, "fifo"),
-            (moon_spec, 0.5, moon_policy(True), False, 6, "fifo"),
-        ]
-    )
+SORTS: Dict[str, Sort] = {
+    # The two intermediate-replication extremes (HA-V1, VO-V1) exercise
+    # the shuffle pump, write pipelines and the replication queue back
+    # to back.
+    "fig6": Sort(
+        "Fig. 6 slice: sort HA-V1 + VO-V1 at rate 0.5",
+        (SortJob(), SortJob(intermediate_rf=rf(0, 1))),
+    ),
+    # The Hadoop-VO cell (six uniform replicas) floods the DFS layers;
+    # the MOON-Hybrid D6 cell covers hybrid scheduling plus
+    # hibernation handling.
+    "fig7": Sort(
+        "Fig. 7 slice: Hadoop-VO + MOON-Hybrid D6 at 0.5",
+        (SortJob(rf(0, 6), rf(0, 6), rf(0, 3), hadoop=True), SortJob()),
+    ),
+    # Max-min fair-share network under a data-heavy sort: dominated by
+    # water-filling recomputation on every flow start and finish.
+    "fairshare": Sort(
+        "192-map sort on the fair-share network",
+        (SortJob(rate=0.3, n_maps=192, network_model="fairshare"),),
+    ),
+}
 
 
 # ----------------------------------------------------------------------
 # 2k-job service streams: one row of data per scenario, one runner
 # ----------------------------------------------------------------------
-#: Every stream serves ~2000 arrivals over this horizon.
-STREAM_HORIZON = 8 * 3600.0
+#: The world every stream serves: a 30+3-node cluster at
+#: unavailability 0.3, the EDF queue (16 in flight, depth 256), ~2000
+#: sleep-catalog arrivals at 250 jobs/h over 8 h, a 4 h drain.  A
+#: stream row says only what differs from it.
+STREAM_WORLD = SweepSpec(
+    policies=("edf",),
+    seeds=PERF_SCALE.seeds,
+    n_volatile=30,
+    n_dedicated=3,
+    jobs_per_hour=250.0,
+    hours=8.0,
+    max_in_flight=16,
+    max_queue_depth=256,
+)
+
+#: 8 bursts/h of ~30 jobs each.
+_BURSTY = {"pattern": "bursty", "jobs_per_hour": 240.0, "burst_size": 30.0}
 
 
-def _poisson(sim) -> Tuple[list, str, dict]:
-    """250 jobs/h Poisson on the sleep catalog."""
-    arrivals = poisson_arrivals(
-        sim.rng("service/arrivals"),
-        rate_per_hour=250.0,
-        horizon=STREAM_HORIZON,
-        catalog=sleep_catalog(),
-    )
-    return arrivals, "poisson", {}
-
-
-def _bursty(sim) -> Tuple[list, str, dict]:
-    """8 bursts/h of ~30 jobs each on the sleep catalog."""
-    arrivals = bursty_arrivals(
-        sim.rng("service/arrivals"),
-        bursts_per_hour=8.0,
-        burst_size_mean=30.0,
-        horizon=STREAM_HORIZON,
-        catalog=sleep_catalog(),
-    )
-    return arrivals, "bursty", {}
-
-
-def _replay(sim) -> Tuple[list, str, dict]:
+def _replay() -> dict:
     """~2000 jobs synthesized from the bundled Hadoop-style sample's
     fitted inter-arrival law (18x load over a 4x horizon) and
     calibrated onto the catalogue: fit + sample + calibrate."""
@@ -198,28 +178,19 @@ def _replay(sim) -> Tuple[list, str, dict]:
         np.random.default_rng(PERF_SCALE.seeds[0]),
         SynthesisConfig(load_factor=18.0, horizon_factor=4.0),
     )
-    service = {"horizon": trace.horizon, "trace_name": trace.name}
-    return trace_arrivals(trace), trace.pattern, service
+    arrivals = tuple(trace_arrivals(trace))
+    return {"trace": trace, "arrivals": arrivals, "pattern": trace.pattern}
 
 
 @dataclass(frozen=True)
 class Stream:
-    """One 2k-job service-stream scenario as data.
-
-    Every stream runs on the same 30+3-node cluster at unavailability
-    0.3 through the EDF queue (16 in flight, depth 256, 4 h drain);
-    a row says only what differs from that.
-    """
+    """One 2k-job service-stream scenario as data."""
 
     description: str
-    #: ``fn(sim) -> (arrivals, pattern, ServiceConfig overrides)``.
-    arrivals: Callable[..., Tuple[list, str, dict]] = _poisson
-    #: ``SchedulerConfig`` overrides on top of MOON-Hybrid.
-    scheduler: Mapping[str, object] = field(default_factory=dict)
-    #: ``SystemConfig`` extras (detector, dfs).
-    system: Mapping[str, object] = field(default_factory=dict)
-    #: ``ServiceConfig`` extras (autoscale, preempt, ...).
-    service: Mapping[str, object] = field(default_factory=dict)
+    #: ``SweepSpec`` overrides on :data:`STREAM_WORLD`.
+    world: Mapping[str, object] = field(default_factory=dict)
+    #: ``fn() -> overrides`` built while the scenario runs (a replay).
+    replay: Optional[Callable[[], dict]] = None
     #: Reported key -> obs metric counter it reads.
     counters: Mapping[str, str] = field(default_factory=dict)
     #: Reported key -> ``fn(service report)``.
@@ -227,28 +198,13 @@ class Stream:
 
 
 def run_stream(stream: Stream) -> Dict[str, float]:
-    """Build the system, serve the stream, stop, report the work."""
-    system = moon_system(
-        SystemConfig(
-            cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-            trace=TraceConfig(unavailability_rate=0.3),
-            scheduler=replace(moon_policy(True), **stream.scheduler),
-            seed=PERF_SCALE.seeds[0],
-            **stream.system,
-        )
-    )
-    arrivals, pattern, service = stream.arrivals(system.sim)
-    options = dict(
-        policy="edf",
-        max_in_flight=16,
-        max_queue_depth=256,
-        horizon=STREAM_HORIZON,
-        drain_limit=4 * 3600.0,
-    )
-    options.update(stream.service, **service)
-    report = system.run_service(
-        arrivals, ServiceConfig(**options), pattern=pattern
-    )
+    """Build the one cell, serve the stream, stop, report the work."""
+    world = dict(stream.world)
+    if stream.replay is not None:
+        world.update(stream.replay())
+    spec = replace(STREAM_WORLD, **world)
+    system, arrivals, config = build_cell(spec, next(spec.cells()))
+    report = MoonService(system, config, arrivals, spec.pattern).run()
     system.jobtracker.stop()
     system.namenode.stop()
     metrics = system.obs.metrics
@@ -273,12 +229,11 @@ STREAMS: Dict[str, Stream] = {
     # DataNode registries churn, ids get reused), node-hours accounting.
     "autoscale2k": Stream(
         "2k-job bursty stream with reactive tier autoscaling",
-        arrivals=_bursty,
-        scheduler={"dedicated_primary": True},
-        service={
-            "autoscale": AutoscaleConfig(
-                policy="reactive", min_dedicated=1, max_dedicated=12
-            )
+        world={
+            **_BURSTY,
+            "autoscales": ("reactive",),
+            "min_dedicated": 1,
+            "max_dedicated": 12,
         },
         report={
             "scale_actions": lambda r: len(r.scale_events),
@@ -288,18 +243,14 @@ STREAMS: Dict[str, Stream] = {
     # The full workload-trace pipeline, end to end.
     "replay2k": Stream(
         "2k-job synthesized trace replay (fit + calibrate + EDF)",
-        arrivals=_replay,
+        replay=_replay,
     ),
     # Pause preemption in its heaviest mode: tight-SLO bursts demote
     # and pause in-flight batch jobs (slot release, tracker
     # re-registration, shuffle re-pump on resume).
     "preempt2k": Stream(
         "2k-job bursty stream under SLO-aware pause preemption",
-        arrivals=_bursty,
-        service={
-            "preempt": PreemptConfig(mode="pause"),
-            "admission_prices": True,
-        },
+        world={**_BURSTY, "preempts": ("pause",), "admission_prices": True},
         report={
             "preempt_actions": lambda r: len(r.preempt_events),
             "pauses": lambda r: r.preempt_counts["pause"],
@@ -311,7 +262,7 @@ STREAMS: Dict[str, Stream] = {
     # layer.
     "detect2k": Stream(
         "2k-job Poisson stream under the adaptive honest detector",
-        system={"detector": DetectorConfig(mode="adaptive")},
+        world={"detectors": ("adaptive",)},
         counters={
             "trips": "detector/trips",
             "false_positives": "detector/false_positives",
@@ -324,14 +275,10 @@ STREAMS: Dict[str, Stream] = {
     # counters checksum the durable-metadata layer.
     "recover2k": Stream(
         "2k-job Poisson stream, journal on, NameNode crash at 2h",
-        system={
-            "dfs": DfsConfig(
-                journal=JournalConfig(
-                    enabled=True,
-                    checkpoint_interval=600.0,
-                    crash_at=2 * 3600.0,
-                )
-            )
+        world={
+            "journal": "on",
+            "checkpoint_interval": 600.0,
+            "namenode_crash": 2 * 3600.0,
         },
         counters={
             "journal_records": "dfs/journal_records",
@@ -392,8 +339,8 @@ def scale_stream(
     )
     spec = replace(
         sleep_spec(12.0, 4.0, n_maps=1, n_reduces=1),
-        intermediate_rf=_rf(1, 0),
-        output_rf=_rf(1, 0),
+        intermediate_rf=rf(1, 0),
+        output_rf=rf(1, 0),
     )
     horizon = hours * 3600.0
     arrivals = poisson_arrivals_vectorised(
@@ -431,23 +378,6 @@ def _scale10k() -> Dict[str, float]:
     return scale_stream()
 
 
-def _fairshare_sort() -> Dict[str, float]:
-    """Max-min fair-share network under a data-heavy sort at rate 0.3.
-
-    Dominated by water-filling recomputation on every flow start and
-    finish — the target of the incremental allocator.
-    """
-    spec = sort_at(PERF_SCALE).with_(
-        n_maps=192,
-        input_rf=_rf(1, 3),
-        output_rf=_rf(1, 3),
-        intermediate_rf=_rf(1, 1),
-    )
-    return _run_cells(
-        [(spec, 0.3, moon_policy(True), False, None, "fairshare")]
-    )
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One named macro-scenario of the perf harness."""
@@ -460,16 +390,14 @@ class Scenario:
 SCENARIOS: Dict[str, Scenario] = {
     s.name: s
     for s in (
-        Scenario("fig6", "Fig. 6 slice: sort HA-V1 + VO-V1 at rate 0.5",
-                 _fig6_slice),
-        Scenario("fig7", "Fig. 7 slice: Hadoop-VO + MOON-Hybrid D6 at 0.5",
-                 _fig7_slice),
+        *(
+            Scenario(name, sort.description, partial(run_sort, sort))
+            for name, sort in SORTS.items()
+        ),
         *(
             Scenario(name, stream.description, partial(run_stream, stream))
             for name, stream in STREAMS.items()
         ),
-        Scenario("fairshare", "192-map sort on the fair-share network",
-                 _fairshare_sort),
         Scenario("scale10k",
                  "10k-node cluster, ~1M-job day-long Poisson stream",
                  _scale10k),

@@ -64,7 +64,12 @@ from .sweep import (
     SweepCell,
     SweepResult,
     SweepSpec,
+    build_cell,
+    comparison_table,
+    render_cell,
     run_sweep,
+    serve_cell,
+    serve_grid,
     sweep_summary_rows,
 )
 from .slo import (
@@ -107,6 +112,11 @@ __all__ = [
     "SweepSpec",
     "SweepCell",
     "SweepResult",
+    "build_cell",
+    "serve_cell",
+    "serve_grid",
+    "render_cell",
+    "comparison_table",
     "run_sweep",
     "sweep_summary_rows",
     "AUTOSCALE_POLICIES",

@@ -162,10 +162,17 @@ class TestServeCommand:
         assert "autoscale=reactive" in out
         assert "node-hours" in out
 
-    def test_autoscale_all_rejects_policy_all(self, capsys):
-        rc = main(["serve", "--autoscale", "all", "--policy", "all"])
-        assert rc == 2
-        assert "single --policy" in capsys.readouterr().err
+    def test_autoscaled_cell_prints_its_preemption_audit(self, capsys):
+        rc = main([
+            "serve", "--pattern", "bursty", "--autoscale", "reactive",
+            "--preempt", "pause", "--hours", "0.5", "--volatile", "4",
+            "--dedicated", "1",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "autoscale audit - policy=reactive" in out
+        assert "preemption audit" in out
+        assert " pause " in out
 
     def test_small_serve_run(self, capsys):
         rc = main([
@@ -180,6 +187,94 @@ class TestServeCommand:
         assert "policy=edf" in out
         assert "(all)" in out
         assert "fairness" in out
+
+
+#: A small pressured world where deprioritisation and pauses fire.
+_PRESSURED = [
+    "serve", "--pattern", "bursty", "--catalog", "sleep",
+    "--jobs-per-hour", "24", "--hours", "0.5", "--volatile", "4",
+    "--dedicated", "1", "--max-in-flight", "2",
+]
+
+
+def _reports(path):
+    import json
+
+    return json.loads(path.read_text())["reports"]
+
+
+class TestGrid:
+    """`--X all` flags compose into one grid: the cartesian product of
+    the axes in one order, each cell an independent world."""
+
+    def test_policy_all_x_preempt_all_is_one_grid(self, tmp_path, capsys):
+        from repro.service import PREEMPT_MODES, QUEUE_POLICIES
+
+        path = tmp_path / "grid.json"
+        rc = main(_PRESSURED + ["--policy", "all", "--preempt", "all",
+                                "--json", str(path)])
+        assert rc == 0
+        reports = _reports(path)
+        coords = [(r["policy"], r["preempt"]["mode"]) for r in reports]
+        # Grid order: the policy axis outside, the preempt axis inside.
+        assert coords == [
+            (p, m) for p in QUEUE_POLICIES for m in PREEMPT_MODES
+        ]
+        out = capsys.readouterr().out
+        assert "queue-policy x preemption comparison" in out
+        assert "policy  preempt" in out and "depri  pauses" in out
+        assert any(r["preempt"]["pauses"] for r in reports)
+
+    def test_grid_cell_equals_the_cell_run_alone(self, tmp_path, capsys):
+        import json
+
+        grid, alone = tmp_path / "grid.json", tmp_path / "alone.json"
+        assert main(_PRESSURED + ["--policy", "all", "--preempt", "all",
+                                  "--json", str(grid)]) == 0
+        assert main(_PRESSURED + ["--policy", "edf", "--preempt", "pause",
+                                  "--json", str(alone)]) == 0
+        cell = next(
+            r for r in _reports(grid)
+            if (r["policy"], r["preempt"]["mode"]) == ("edf", "pause")
+        )
+        [single] = _reports(alone)
+        assert json.dumps(cell, sort_keys=True, indent=2) == json.dumps(
+            single, sort_keys=True, indent=2
+        )
+
+
+_SAMPLE_TRACE = "benchmarks/data/hadoop_jobhistory_sample.json"
+
+
+class TestBadWorldFlags:
+    """A bad world value is a usage error (exit 2), found before any
+    cell runs or any worker pool starts — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--tenants", "0"], "tenant"),
+            (["serve", "--max-in-flight", "0"], "max_in_flight"),
+            (["serve", "--rate", "1.5"], "unavailability_rate"),
+            (["replay", "--trace", _SAMPLE_TRACE, "--queue-depth", "0"],
+             "max_queue_depth"),
+            (["sweep", "--tenants", "0"], "tenant"),
+            (["sweep", "--procs", "0"], "procs"),
+        ],
+    )
+    def test_exit_2_with_a_logged_error(self, argv, message, capsys):
+        import pathlib
+
+        argv = [
+            str(pathlib.Path(__file__).parent.parent / a)
+            if a == _SAMPLE_TRACE else a
+            for a in argv
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestReplayCommand:
@@ -205,25 +300,6 @@ class TestReplayCommand:
         rc = main(["replay", "--trace", self._sample(), "--scale", "0"])
         assert rc == 2
         assert "load_factor" in capsys.readouterr().err
-
-    def test_autoscale_rejects_policy_all(self, capsys):
-        rc = main(["replay", "--trace", self._sample(),
-                   "--autoscale", "all", "--policy", "all"])
-        assert rc == 2
-        assert "single --policy" in capsys.readouterr().err
-
-    def test_preempt_all_rejects_conflicting_axes(self, capsys):
-        rc = main(["replay", "--trace", self._sample(),
-                   "--preempt", "all", "--policy", "all"])
-        assert rc == 2
-        assert "--preempt all" in capsys.readouterr().err
-        rc = main(["replay", "--trace", self._sample(),
-                   "--preempt", "all", "--autoscale", "reactive"])
-        assert rc == 2
-        assert "--preempt all" in capsys.readouterr().err
-        rc = main(["serve", "--preempt", "all", "--policy", "all"])
-        assert rc == 2
-        assert "--preempt all" in capsys.readouterr().err
 
     def test_preempt_flag_parses_on_both_commands(self):
         args = build_parser().parse_args(

@@ -95,3 +95,19 @@ class TestCli:
     def test_bad_grid_is_exit_2(self, tmp_path):
         rc = main(["sweep", "--policies", "bogus", "--seeds", "1"])
         assert rc == 2
+
+    def test_sweep_cell_equals_the_serve_run(self, tmp_path, capsys):
+        """One builder: a sweep cell and `repro serve` on the same world
+        report the same dict."""
+        world = ["--hours", "0.25", "--volatile", "6", "--dedicated", "2",
+                 "--rate", "0.1", "--max-in-flight", "2",
+                 "--jobs-per-hour", "6", "--catalog", "sleep"]
+        swept, served = tmp_path / "sweep.json", tmp_path / "serve.json"
+        assert main(["sweep", "--policies", "fifo", "--seeds", "4",
+                     *world, "--json", str(swept)]) == 0
+        assert main(["serve", "--pattern", "poisson", "--policy", "fifo",
+                     "--seed", "4", *world, "--json", str(served)]) == 0
+        [cell] = json.loads(swept.read_text())["cells"]
+        [report] = json.loads(served.read_text())["reports"]
+        assert cell["report"] == report
+
