@@ -142,6 +142,40 @@ class TestRunner:
         )
         assert stub_scenarios["fast"] == 3
 
+    def test_obs_check_alternates_untraced_and_traced_runs(
+        self, tmp_path, stub_scenarios, monkeypatch
+    ):
+        """Host drift must not read as tracing overhead: the check
+        times untraced/traced pairs, not one block after the other,
+        and each traced run gets a fresh recorder."""
+        from repro.obs import current_default
+
+        armed = []
+        clock = iter(range(100))
+
+        def fast():
+            obs = current_default()
+            armed.append(obs)
+            return {"events": 100.0}
+
+        # Each run takes one second: untraced and traced tie.
+        monkeypatch.setattr(
+            runner_mod.time, "perf_counter", lambda: float(next(clock))
+        )
+        monkeypatch.setitem(
+            runner_mod.SCENARIOS, "fast", Scenario("fast", "stub", fast)
+        )
+        results = {"fast": {"events": 100}}
+        failures = runner_mod._obs_check("fast", 3, results, out=None)
+        assert failures == []
+        traced = [obs is not None and obs.tracer.enabled for obs in armed]
+        assert traced == [False, True] * 3
+        recorders = [obs for obs in armed if obs is not None]
+        assert len({id(obs) for obs in recorders}) == 3
+        check = results["fast"]["obs_check"]
+        assert check["pairs"] == 3
+        assert check["overhead_pct"] == 0.0
+
 
 class TestRegistry:
     def test_real_registry_names(self):

@@ -39,6 +39,15 @@ MAP_WEIGHTS = (0.15, 0.70, 0.15)
 #: Reduce thirds: shuffle / sort / reduce+write (paper II-C wording).
 REDUCE_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
+# Progress banked by the phases before phase ``k``: ``sum(W[:k])``,
+# precomputed with the same left fold (and the same int ``0`` for
+# phase 0) so the refresh reads the very values it used to add up.
+_MAP_DONE = tuple(sum(MAP_WEIGHTS[:k]) for k in range(len(MAP_WEIGHTS) + 1))
+_REDUCE_DONE = tuple(
+    sum(REDUCE_WEIGHTS[:k]) for k in range(len(REDUCE_WEIGHTS) + 1)
+)
+_REDUCE_HALF_LAST = REDUCE_WEIGHTS[2] * 0.5
+
 
 class _ComputeStep:
     """A pausable compute timer."""
@@ -76,17 +85,6 @@ class _ComputeStep:
         if self.event is not None:
             self.event.cancel()
             self.event = None
-
-    def fraction_done(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        done = self.total - self._live_remaining()
-        return min(1.0, max(0.0, done / self.total))
-
-    def _live_remaining(self) -> float:
-        if self.event is None:
-            return self.remaining
-        return self.remaining - (self.runner.rt.sim.now - self.started_at)
 
 
 class AttemptRunner:
@@ -305,10 +303,19 @@ class MapRunner(AttemptRunner):
 
     # ------------------------------------------------------------------
     def update_progress(self) -> None:
-        p = sum(MAP_WEIGHTS[: self.phase])
-        if self.phase == 1 and self._compute is not None:
-            p += MAP_WEIGHTS[1] * self._compute.fraction_done()
-        self.attempt.progress = min(1.0, p)
+        p = _MAP_DONE[self.phase]
+        step = self._compute
+        if self.phase == 1 and step is not None:
+            # The compute step's done share, clamped to [0, 1]: a step
+            # is started as soon as it is made, and a paused one has
+            # no event and its remaining time banked.
+            left = step.remaining
+            if step.event is not None:
+                left -= self.rt.sim.now - step.started_at
+            f = (step.total - left) / step.total
+            if f > 0.0:
+                p += MAP_WEIGHTS[1] * (f if f < 1.0 else 1.0)
+        self.attempt.progress = p if p < 1.0 else 1.0
 
 
 class ReduceRunner(AttemptRunner):
@@ -545,21 +552,26 @@ class ReduceRunner(AttemptRunner):
 
     # ------------------------------------------------------------------
     def update_progress(self) -> None:
-        job = self.attempt.task.job
-        n = max(1, len(job.maps))
-        if self.phase == 0:
+        phase = self.phase
+        if phase == 0:
+            n = max(1, len(self.attempt.task.job.maps))
             p = REDUCE_WEIGHTS[0] * len(self.fetched) / n
-        elif self.phase == 1:
-            p = REDUCE_WEIGHTS[0]
-            if self._compute is not None:
-                p += REDUCE_WEIGHTS[1] * self._compute.fraction_done()
         else:
-            p = REDUCE_WEIGHTS[0] + REDUCE_WEIGHTS[1]
-            if self.phase >= 2 and self._compute is not None:
-                p += REDUCE_WEIGHTS[2] * 0.5 * self._compute.fraction_done()
-            elif self.phase == 3:
-                p += REDUCE_WEIGHTS[2] * 0.5
-        self.attempt.progress = min(1.0, p)
+            # Sort fills the second third; reduce compute and the write
+            # share the last one half and half.
+            p = _REDUCE_DONE[1 if phase == 1 else 2]
+            step = self._compute
+            if step is not None:
+                left = step.remaining  # see MapRunner.update_progress
+                if step.event is not None:
+                    left -= self.rt.sim.now - step.started_at
+                f = (step.total - left) / step.total
+                if f > 0.0:
+                    w = REDUCE_WEIGHTS[1] if phase == 1 else _REDUCE_HALF_LAST
+                    p += w * (f if f < 1.0 else 1.0)
+            elif phase == 3:
+                p += _REDUCE_HALF_LAST
+        self.attempt.progress = p if p < 1.0 else 1.0
 
 
 def make_runner(rt, attempt: TaskAttempt) -> AttemptRunner:

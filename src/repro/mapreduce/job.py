@@ -134,10 +134,17 @@ class Job:
                 self._sync_candidacy(TaskType.REDUCE)
 
     def assign_candidate(self, task_type: TaskType) -> bool:
-        """Mirror of ``SchedulerPolicy.job_is_candidate`` evaluated
-        from the job's own counters (the slow-start fraction and the
+        """Can any policy's ``select_task`` return a ``task_type`` task
+        of this job on some tracker?
+
+        Exact, not heuristic: every selectable task is either PENDING
+        (pending reduces gated by the slow-start rule) or incomplete
+        with attempts (the speculative pools draw on running tasks
+        plus requeued ones that ran before, which stay homestretch
+        material while the gate holds, MOON V-B).  Evaluated from the
+        job's own counters (the slow-start fraction and the
         speculation switch are stamped on the job at submit), so the
-        index can be maintained at transition time instead of being
+        index is maintained at transition time instead of being
         recomputed over every active job on every tick."""
         if self.pending_count(task_type) > 0:
             if task_type is TaskType.MAP:

@@ -67,6 +67,15 @@ class JobTracker:
         # run-level aggregates folded into the registry at job end.
         self._trace = sim.obs.tracer
         self._metrics = sim.obs.metrics
+        # The scheduler's own accounting: heartbeats, slot offers made
+        # to the policy, offers it refused, jobs pruned from a tick's
+        # walk as exhausted, and launches.
+        m = self._metrics
+        self._m_ticks = m.counter("scheduler/ticks")
+        self._m_offers = m.counter("scheduler/offers")
+        self._m_empty_offers = m.counter("scheduler/empty_offers")
+        self._m_prunes = m.counter("scheduler/exhausted_prunes")
+        self._m_assignments = m.counter("scheduler/assignments")
         self.cfg = scheduler_cfg
         self.shuffle_cfg = shuffle_cfg
         self.policy = policy
@@ -277,6 +286,7 @@ class JobTracker:
     # Heartbeat tick: progress refresh + assignment
     # ==================================================================
     def _tick(self) -> None:
+        self._m_ticks.inc()
         # Drain watch: a decommissioning tracker leaves the cluster at
         # this tick (deterministic, and safely outside any cluster-
         # notification fan-out) once (a) it has no unfinished attempts
@@ -308,11 +318,9 @@ class JobTracker:
         # The candidacy index holds exactly the jobs select_task could
         # accept on some tracker (see Job.assign_candidate): skipping
         # the rest — and on a quiet cluster, the whole tracker sweep —
-        # changes no decision.  Launches re-sync the index through
-        # note_state, so the sweep stops as soon as both types run dry.
+        # changes no decision.
         index = self._assign_candidates
-        idx_map, idx_red = index[TaskType.MAP], index[TaskType.REDUCE]
-        if not (idx_map or idx_red):
+        if not (index[TaskType.MAP] or index[TaskType.REDUCE]):
             return
         # Candidate lists (pending, stragglers, frozen...) are memoised
         # inside the policy for the duration of one tick, so idle ticks
@@ -320,53 +328,91 @@ class JobTracker:
         self.policy.begin_tick()
         # The walk visits candidates in the active-jobs order:
         # deprioritised last, then priority-major, submission-minor.
-        def walk_order(members) -> List[Job]:
-            return sorted(
-                members,
+        # ``walk`` holds the jobs still offered slots this tick;
+        # ``parked`` the ones the policy reported exhausted, which
+        # rejoin at their place if a launch re-opens them.
+        types = (TaskType.MAP, TaskType.REDUCE)
+        order = {
+            tt: sorted(
+                index[tt],
                 key=lambda j: (j.deprioritised, -j.priority, j.submit_seq),
             )
-
-        types = (TaskType.MAP, TaskType.REDUCE)
-        candidates = {tt: walk_order(index[tt]) for tt in types}
+            for tt in types
+        }
+        walk = {tt: list(order[tt]) for tt in types}
+        parked = {tt: [] for tt in types}
         for tracker in self._assignment_order():
             if not tracker.usable:
                 continue
             launched = False
             for task_type in types:
-                cand = candidates[task_type]
-                if not cand:
+                jobs = walk[task_type]
+                if not jobs:
                     continue
-                free = tracker.free_slots(task_type)
-                for _ in range(free):
-                    if not self._assign_one(tracker, task_type, cand):
+                for _ in range(tracker.free_slots(task_type)):
+                    if not self._assign_one(
+                        tracker, task_type, jobs, parked[task_type]
+                    ):
                         break
                     launched = True
+                    if parked[TaskType.MAP] or parked[TaskType.REDUCE]:
+                        self._unpark(order, walk, parked)
             if launched:
+                # Launches re-sync the index through note_state: a job
+                # that left it has nothing left to place this tick.
                 for tt in types:
-                    lst = candidates[tt]
-                    if lst:
-                        live = index[tt]
-                        lst[:] = [j for j in lst if j in live]
-                if not (
-                    candidates[TaskType.MAP] or candidates[TaskType.REDUCE]
-                ):
-                    break
+                    live = index[tt]
+                    walk[tt][:] = [j for j in walk[tt] if j in live]
+                    parked[tt][:] = [j for j in parked[tt] if j in live]
+            if not (walk[TaskType.MAP] or walk[TaskType.REDUCE]):
+                break
 
     def _assignment_order(self) -> List[TaskTracker]:
         # Volatile trackers first so dedicated slots stay free for the
         # hybrid policy's speculative placement (V-C).
         return self._assignment_order_cache
 
-    def _assign_one(self, tracker, task_type, jobs) -> bool:
-        for job in jobs:
+    def _assign_one(self, tracker, task_type, jobs, parked) -> bool:
+        """Offer one free ``task_type`` slot of ``tracker`` to ``jobs``
+        in walk order and launch the first pick.  A job that refuses
+        and that the policy reports exhausted moves to ``parked``: it
+        would refuse every later slot of the tick as well."""
+        policy = self.policy
+        i = 0
+        while i < len(jobs):
+            job = jobs[i]
             if job.finished or job.paused:
+                i += 1
                 continue
-            picked = self.policy.select_task(job, tracker, task_type)
+            self._m_offers.inc()
+            picked = policy.select_task(job, tracker, task_type)
             if picked is not None:
                 task, speculative = picked
+                self._m_assignments.inc()
                 self.launch(task, tracker, speculative)
                 return True
+            self._m_empty_offers.inc()
+            if policy.exhausted(job, task_type):
+                self._m_prunes.inc()
+                parked.append(job)
+                del jobs[i]
+            else:
+                i += 1
         return False
+
+    def _unpark(self, order, walk, parked) -> None:
+        """After a launch, return parked jobs the policy no longer
+        reports exhausted to their place in the walk.  A launch can
+        change other tasks on the spot: a reduce whose first fetch
+        finds no live replica can re-execute a lost map, putting a map
+        back to PENDING in a job parked for maps."""
+        exhausted = self.policy.exhausted
+        for tt, lst in parked.items():
+            back = [j for j in lst if not exhausted(j, tt)]
+            if back:
+                lst[:] = [j for j in lst if j not in back]
+                keep = set(walk[tt]).union(back)
+                walk[tt][:] = [j for j in order[tt] if j in keep]
 
     # ==================================================================
     # Launch / lifecycle

@@ -51,6 +51,7 @@ METRIC_FAMILIES: Dict[str, str] = {
     "dfs": "NameNode namespace/block-map operations, journal activity and recovery",
     "mapreduce": "job/task execution accounting (wasted duplicate work)",
     "net": "shared-uplink flow counts and fair-share water-fill rounds",
+    "scheduler": "heartbeat assignment walks: ticks, slot offers, refused offers, exhausted prunes, assignments",
     "service": "admission, queueing and SLO accounting for the serving layer",
     "obs": "the recorder's own health (trace events dropped at the cap)",
     "blame": "causal blame attribution: seconds of response time per cause",

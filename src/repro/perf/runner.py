@@ -14,12 +14,13 @@ intended behaviour change).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .scenarios import SCENARIOS
 
@@ -65,15 +66,23 @@ def load_baseline(path: Optional[str] = None) -> Dict[str, dict]:
     return data.get("scenarios", {})
 
 
+def _timed_run(scenario) -> Tuple[float, Dict[str, float]]:
+    """One run of ``scenario``: (wall seconds, its work dict).  The
+    previous run's garbage (a traced run leaves a full recorder) is
+    collected first, outside the timing."""
+    gc.collect()
+    t0 = time.perf_counter()
+    work = scenario.run()
+    return time.perf_counter() - t0, work
+
+
 def time_scenario(name: str, repeat: int = 1) -> dict:
     """Run one scenario ``repeat`` times; report the fastest wall."""
     scenario = SCENARIOS[name]
     best_wall = None
     work: Dict[str, float] = {}
     for _ in range(max(1, repeat)):
-        t0 = time.perf_counter()
-        work = scenario.run()
-        wall = time.perf_counter() - t0
+        wall, work = _timed_run(scenario)
         if best_wall is None or wall < best_wall:
             best_wall = wall
     entry = {
@@ -208,55 +217,67 @@ def run_perf(
 
 
 def _obs_check(name: str, repeat: int, results: Dict[str, dict], out) -> List[str]:
-    """Re-time ``name`` with tracing armed; fail on checksum drift or
+    """Re-time ``name`` untraced and traced; fail on checksum drift or
     obs-on overhead beyond :data:`OBS_OVERHEAD_THRESHOLD_PCT`.
 
-    The off-reference is the *better* of the main timing and a fresh
-    untraced re-run, so warm-up effects (first-run imports, allocator
-    growth) never read as tracing overhead; both sides take the
-    fastest of at least two runs, because a single sample on a busy
-    machine swings more than the threshold by itself.  Results land in
-    the scenario's report entry under ``"obs_check"``.
+    The runs alternate, one untraced then one traced, for at least two
+    pairs, and each side keeps its fastest run: a host that speeds up
+    or slows down during the check shifts both sides alike instead of
+    reading as tracing overhead, and a single sample never decides,
+    because one run on a busy machine swings more than the threshold
+    by itself.  Each traced run records into a fresh recorder, as a
+    real ``--trace`` run does.  Results land in the scenario's report
+    entry under ``"obs_check"``.
     """
     from ..obs import Observability, ObsConfig, default_observability
 
+    pairs = max(2, repeat)
     print(
-        f"[perf] obs-check: re-timing {name} untraced, then with "
-        "tracing armed",
+        f"[perf] obs-check: re-timing {name} in {pairs} untraced/traced "
+        "pairs",
         file=out,
     )
-    reps = max(2, repeat)
-    off_entry = time_scenario(name, repeat=reps)
-    off_wall = min(results[name]["wall_s"], off_entry["wall_s"])
-    with default_observability(Observability(ObsConfig(trace=True))):
-        on_entry = time_scenario(name, repeat=reps)
-    overhead_pct = 100.0 * (on_entry["wall_s"] / max(off_wall, 1e-9) - 1.0)
-    events_match = (
-        on_entry["events"] == results[name]["events"]
-        and off_entry["events"] == results[name]["events"]
-    )
+    scenario = SCENARIOS[name]
+    off_walls: List[float] = []
+    on_walls: List[float] = []
+    off_events: List[int] = []
+    on_events: List[int] = []
+    for _ in range(pairs):
+        wall, work = _timed_run(scenario)
+        off_walls.append(wall)
+        off_events.append(int(work.get("events", 0)))
+        with default_observability(Observability(ObsConfig(trace=True))):
+            wall, work = _timed_run(scenario)
+        on_walls.append(wall)
+        on_events.append(int(work.get("events", 0)))
+    off_wall = round(min(off_walls), 6)
+    on_wall = round(min(on_walls), 6)
+    overhead_pct = 100.0 * (on_wall / max(off_wall, 1e-9) - 1.0)
+    expected = results[name]["events"]
+    events_match = all(e == expected for e in off_events + on_events)
     failures: List[str] = []
     if not events_match:
         failures.append(
             f"{name}: event checksum drift with tracing on — "
-            f"{on_entry['events']} traced vs {results[name]['events']} "
-            f"untraced (off re-run: {off_entry['events']})"
+            f"{on_events} traced vs {expected} untraced "
+            f"(off re-runs: {off_events})"
         )
     if overhead_pct > OBS_OVERHEAD_THRESHOLD_PCT:
         failures.append(
             f"{name}: obs-on overhead {overhead_pct:.1f}% exceeds "
             f"{OBS_OVERHEAD_THRESHOLD_PCT:.0f}% "
-            f"({on_entry['wall_s']:.2f}s traced vs {off_wall:.2f}s off)"
+            f"({on_wall:.2f}s traced vs {off_wall:.2f}s off)"
         )
     results[name]["obs_check"] = {
         "events_match": events_match,
         "overhead_pct": round(overhead_pct, 1),
-        "traced_wall_s": on_entry["wall_s"],
+        "pairs": pairs,
+        "traced_wall_s": on_wall,
         "untraced_wall_s": off_wall,
         "threshold_pct": OBS_OVERHEAD_THRESHOLD_PCT,
     }
     print(
-        f"[perf] obs-check {name}: {on_entry['wall_s']:.2f}s traced vs "
+        f"[perf] obs-check {name}: {on_wall:.2f}s traced vs "
         f"{off_wall:.2f}s untraced ({overhead_pct:+.1f}%), events "
         f"{'match' if events_match else 'DRIFTED'}",
         file=out,

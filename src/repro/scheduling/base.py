@@ -45,6 +45,19 @@ class SchedulerPolicy(ABC):
     ) -> Optional[Tuple[Task, bool]]:
         """Return ``(task, is_speculative)`` or ``None``."""
 
+    @abstractmethod
+    def exhausted(self, job: Job, task_type: TaskType) -> bool:
+        """Would :meth:`select_task` return ``None`` for ``task_type``
+        work of ``job`` on every tracker, until the next launch?
+
+        Asked by the JobTracker after an empty offer; ``True`` drops
+        the job from the rest of this tick's walk for that type, so it
+        must be exact, and must read only tracker-independent facts:
+        no pending task left, and speculation shut for the job this
+        tick.  A launch can change those facts on the spot (a reduce's
+        first fetch can re-execute a lost map), so the walk asks again
+        after every launch."""
+
     # ------------------------------------------------------------------
     # Shared building blocks
     # ------------------------------------------------------------------
@@ -143,31 +156,6 @@ class SchedulerPolicy(ABC):
         speculative copies — backup instances are exactly the extra
         slots the preemption is trying to hand to tighter jobs."""
         return self.cfg.speculative_enabled and not job.deprioritised
-
-    def job_is_candidate(self, job: Job, task_type: TaskType) -> bool:
-        """Can :meth:`select_task` possibly return a ``task_type`` task
-        of this job on *any* tracker this tick?
-
-        Exact, not heuristic: every selectable task is either PENDING —
-        and pending reduces are gated by the slow-start rule — or
-        incomplete-with-attempts (the speculative pools draw on running
-        tasks plus requeued tasks that ran before).  Both facts are
-        cheap reads against the job's per-state indices, so the
-        JobTracker can prefilter its assignment walk per tick instead
-        of asking every (job, tracker) pair, and a quiet big cluster
-        skips the walk entirely.  Jobs failing this gate are exactly
-        those every ``select_task`` call would refuse, so the filtered
-        walk makes identical decisions.
-        """
-        speculate = self.cfg.speculative_enabled
-        if job.pending_count(task_type) > 0:
-            if task_type is TaskType.MAP or self.reduces_eligible(job):
-                return True
-            # Pending-but-ineligible reduces that ran before remain
-            # homestretch material (MOON V-B).
-            if speculate and job.any_pending_attempted(task_type):
-                return True
-        return bool(speculate and job.running_count(task_type))
 
     def available_slots(self) -> int:
         cached = self._memo.get("avail_slots")

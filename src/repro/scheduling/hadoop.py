@@ -49,3 +49,13 @@ class HadoopScheduler(SchedulerPolicy):
         # Original scheduling order, not progress order (paper V).
         chosen = min(stragglers, key=lambda t: t.scheduled_order or 0)
         return (chosen, True)
+
+    def exhausted(self, job: Job, task_type: TaskType) -> bool:
+        """No pending task, and no backup to give: speculation off for
+        the job, or its memoised straggler list for the tick empty."""
+        if job.pending_count(task_type):
+            return False
+        if not self.allow_speculation(job):
+            return True
+        stragglers = self._memo.get(("stragglers", job.job_id, task_type))
+        return stragglers is not None and not stragglers

@@ -47,6 +47,21 @@ class LateScheduler(SchedulerPolicy):
             return None
         return (candidates[0], True)
 
+    def exhausted(self, job: Job, task_type: TaskType) -> bool:
+        """No pending task, and speculation shut: off for the job, its
+        cap reached, or no running task left that could take a copy on
+        any tracker (the tracker-independent half of the filter in
+        :meth:`_ranked_by_time_left`; a non-empty filtered list always
+        ranks at least its slowest task)."""
+        if job.pending_count(task_type):
+            return False
+        if not self.allow_speculation(job) or not self.under_job_cap(job):
+            return True
+        return not any(
+            not t.complete and t.live_attempts() and self.under_per_task_cap(t)
+            for t in job.running_tasks(task_type)
+        )
+
     # ------------------------------------------------------------------
     def _rate(self, task: Task) -> float:
         live = task.live_attempts()

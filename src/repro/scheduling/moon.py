@@ -54,6 +54,19 @@ class MoonScheduler(SchedulerPolicy):
             return None
         return self._pick_speculative(job, tracker, task_type)
 
+    def exhausted(self, job: Job, task_type: TaskType) -> bool:
+        """No pending task, and every speculative path is shut for the
+        tick: speculation off for the job, its cap reached, or its
+        memoised (frozen, slow, homestretch) lists all empty.  Each of
+        these is tracker-independent, and :meth:`_pick_speculative`
+        returns ``None`` on any tracker when one holds."""
+        if job.pending_count(task_type):
+            return False
+        if not self.allow_speculation(job) or not self.under_job_cap(job):
+            return True
+        lists = self._memo.get(("spec", job.job_id, task_type))
+        return lists is not None and not any(lists)
+
     # ------------------------------------------------------------------
     def _pick_speculative(
         self, job: Job, tracker: TaskTracker, task_type: TaskType
